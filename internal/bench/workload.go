@@ -195,6 +195,19 @@ func RunWorkload(p Params) (*WorkloadReport, error) {
 	go func() { done <- tr.Run(context.Background()) }()
 
 	var samples []ProgressSample
+	sample := func() {
+		pr := tr.Progress()
+		samples = append(samples, ProgressSample{
+			AtMs:      ms(time.Since(trStart)),
+			Phase:     pr.Phase.String(),
+			Iteration: pr.Iteration,
+			Applied:   pr.RecordsApplied,
+			Remaining: pr.Remaining,
+			Rate:      pr.Rate,
+			ETAMs:     ms(pr.ETA),
+			ETAValid:  pr.ETAValid,
+		})
+	}
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 	var trErr error
@@ -202,19 +215,12 @@ sampling:
 	for {
 		select {
 		case trErr = <-done:
+			// The trail always ends on the final state, however few ticks a
+			// short transformation left room for.
+			sample()
 			break sampling
 		case <-tick.C:
-			pr := tr.Progress()
-			samples = append(samples, ProgressSample{
-				AtMs:      ms(time.Since(trStart)),
-				Phase:     pr.Phase.String(),
-				Iteration: pr.Iteration,
-				Applied:   pr.RecordsApplied,
-				Remaining: pr.Remaining,
-				Rate:      pr.Rate,
-				ETAMs:     ms(pr.ETA),
-				ETAValid:  pr.ETAValid,
-			})
+			sample()
 		}
 	}
 	c2 := r.Snapshot()

@@ -11,6 +11,9 @@ func TestRunWorkloadSmoke(t *testing.T) {
 	// The tiny windows commit few transactions; a high toggle fraction makes
 	// sure insert→delete round-trips land inside them.
 	p.InsertFrac = 0.5
+	// The rule counters below need deletes to be logged while the split
+	// runs: size T so that takes about as long as the other two windows.
+	p.TRows, p.SplitValues = 20_000, 2_000
 	rep, err := RunWorkload(p)
 	if err != nil {
 		t.Fatalf("RunWorkload: %v", err)

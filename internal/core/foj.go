@@ -416,93 +416,139 @@ func (op *fojOp) sIdentityIndex() string {
 
 // ---- population (§4.1, initial population step) ----
 
-// Populate fuzzily reads R and S and inserts FOJ(R0', S0') into T. The scans
-// are chunked, so concurrent updates interleave — the initial image is
-// genuinely fuzzy and the log propagation repairs it. Each half of a joined
-// row inherits its source record's LSN as the state identifier.
+// sGroup is the image of the S records sharing one join value: exactly one
+// record in the 1:N case, where the join attributes are a candidate key of
+// S. matched is raised by the R pass once any R record joined the group.
+type sGroup struct {
+	recs    []storage.Record
+	matched atomic.Bool
+}
+
+// Populate reads R and S (fuzzily, or at the population snapshot) and
+// bulk-builds FOJ(R0', S0') in T. The scans are chunked, so concurrent
+// updates interleave — the initial image is genuinely fuzzy and the log
+// propagation repairs it. Each half of a joined row inherits its source
+// record's LSN as the state identifier.
 //
-// Both scans run one worker per source heap partition (bounded by
-// Config.PropagateWorkers): the S image is built from per-worker maps merged
-// under a mutex, and the R pass reads that image read-only while inserting
-// into distinct T keys, so the result is independent of worker interleaving.
+// Both scans run one worker per source heap partition at a time (bounded by
+// Config.PropagateWorkers). The S image is built in per-worker maps folded
+// together under a mutex — in the many-to-many case a group's record set is
+// interleaving-independent and only its order varies, and every (r, s) pair
+// produces the same T row regardless. The R pass reads that image read-only
+// and inserts the T rows of each scan chunk as one batch; chunks carry
+// distinct T keys, so the result is independent of worker interleaving.
 func (op *fojOp) Populate(tick func(int)) (int64, error) {
-	if op.spec.ManyToMany {
-		return op.populateM2M(tick)
-	}
 	rTbl := op.db.Table(op.spec.Left)
 	sTbl := op.db.Table(op.spec.Right)
 	if rTbl == nil || sTbl == nil {
 		return 0, fmt.Errorf("core: join: source storage missing")
 	}
-	// Fuzzy image of S keyed by join value (unique in the 1:N case). The
-	// chunked scan delivers rows with no latch held so the priority
-	// throttle never blocks writers.
-	var sMu sync.Mutex
-	sByJoin := make(map[string]storage.Record)
-	matched := make(map[string]bool)
-	if err := op.tr.forEachPartition(sTbl, func(pi int) error {
-		local := make(map[string]storage.Record)
-		op.tr.scanPartition(sTbl, pi, func(recs []storage.Record) {
-			for _, rec := range recs {
-				local[rec.Row.Project(op.sJoin).Encode()] = rec
-			}
-			tick(len(recs))
-		})
-		sMu.Lock()
-		for k, v := range local {
-			sByJoin[k] = v
+	var mu sync.Mutex
+	sByJoin := make(map[string]*sGroup)
+	if err := op.tr.forEachPartition(sTbl, func(next func() (int, bool)) error {
+		local := make(map[string]*sGroup)
+		var kbuf []byte
+		for pi, ok := next(); ok; pi, ok = next() {
+			// The chunked scan delivers rows with no latch held so the
+			// priority throttle never blocks writers.
+			op.tr.scanPartition(sTbl, pi, func(recs []storage.Record) {
+				for _, rec := range recs {
+					kbuf = rec.Row.AppendEncodeProject(kbuf[:0], op.sJoin)
+					g := local[string(kbuf)]
+					if g == nil {
+						g = &sGroup{}
+						local[string(kbuf)] = g
+					}
+					if !op.spec.ManyToMany {
+						g.recs = g.recs[:0]
+					}
+					g.recs = append(g.recs, rec)
+				}
+				tick(len(recs))
+			})
 		}
-		sMu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		for k, g := range local {
+			if have := sByJoin[k]; have != nil && op.spec.ManyToMany {
+				have.recs = append(have.recs, g.recs...)
+			} else {
+				sByJoin[k] = g
+			}
+		}
 		return nil
 	}); err != nil {
 		return 0, err
 	}
-	var rows atomic.Int64
-	err := op.tr.forEachPartition(rTbl, func(pi int) error {
-		localMatched := make(map[string]bool)
+
+	op.tTbl.Reserve(rTbl.Len())
+	var rows int64
+	if err := op.tr.forEachPartition(rTbl, func(next func() (int, bool)) error {
+		var kbuf []byte
+		var n int64
 		var werr error
-		op.tr.scanPartition(rTbl, pi, func(recs []storage.Record) {
-			if werr != nil {
-				return
-			}
-			for _, rec := range recs {
-				jk := rec.Row.Project(op.rJoin).Encode()
-				var t value.Tuple
-				if s, ok := sByJoin[jk]; ok {
-					localMatched[jk] = true
-					t = op.joinRow(rec.Row, s.Row, rec.LSN, s.LSN)
-				} else {
-					t = op.rowFromR(rec.Row, rec.LSN)
+		for pi, ok := next(); ok && werr == nil; pi, ok = next() {
+			op.tr.scanPartition(rTbl, pi, func(recs []storage.Record) {
+				if werr != nil {
+					return
 				}
-				if err := op.tTbl.Insert(t, 0); err != nil {
+				batch := make([]storage.Record, 0, len(recs))
+				for _, rec := range recs {
+					kbuf = rec.Row.AppendEncodeProject(kbuf[:0], op.rJoin)
+					g := sByJoin[string(kbuf)]
+					if g == nil {
+						batch = append(batch, storage.Record{Row: op.rowFromR(rec.Row, rec.LSN)})
+						continue
+					}
+					if !g.matched.Load() {
+						g.matched.Store(true)
+					}
+					for _, s := range g.recs {
+						batch = append(batch, storage.Record{Row: op.joinRow(rec.Row, s.Row, rec.LSN, s.LSN)})
+					}
+				}
+				stored, err := op.tTbl.InsertBatch(batch, nil)
+				n += int64(stored)
+				if err != nil {
 					werr = err
 					return
 				}
-				rows.Add(1)
-			}
-			tick(len(recs))
-		})
-		sMu.Lock()
-		for k := range localMatched {
-			matched[k] = true
+				tick(len(recs))
+			})
 		}
-		sMu.Unlock()
+		mu.Lock()
+		rows += n
+		mu.Unlock()
 		return werr
-	})
-	if err != nil {
-		return rows.Load(), err
+	}); err != nil {
+		return rows, err
 	}
-	for jk, s := range sByJoin {
-		if matched[jk] {
+
+	// S records no R record joined appear joined with rnull, one tick each.
+	batch := make([]storage.Record, 0, op.tr.cfg.FuzzyChunk)
+	flush := func() error {
+		stored, err := op.tTbl.InsertBatch(batch, nil)
+		rows += int64(stored)
+		for i := 0; i < stored; i++ {
+			tick(1)
+		}
+		batch = make([]storage.Record, 0, op.tr.cfg.FuzzyChunk)
+		return err
+	}
+	for _, g := range sByJoin {
+		if g.matched.Load() {
 			continue
 		}
-		if err := op.tTbl.Insert(op.rowFromS(s.Row, s.LSN), 0); err != nil {
-			return rows.Load(), err
+		for _, s := range g.recs {
+			batch = append(batch, storage.Record{Row: op.rowFromS(s.Row, s.LSN)})
+			if len(batch) == cap(batch) {
+				if err := flush(); err != nil {
+					return rows, err
+				}
+			}
 		}
-		rows.Add(1)
-		tick(1)
 	}
-	return rows.Load(), nil
+	return rows, flush()
 }
 
 // ---- log propagation (§4.2) ----

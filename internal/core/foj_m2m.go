@@ -1,11 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"nbschema/internal/storage"
 	"nbschema/internal/value"
 	"nbschema/internal/wal"
 )
@@ -14,95 +9,6 @@ import (
 // S records and vice versa, so T's key is the pair of source keys
 // (t^{y,v}_z in the paper's notation) and operations on R records must
 // affect every T record the R record contributed to.
-
-// populateM2M builds the initial image for a many-to-many join. Like the 1:N
-// path it scans one heap partition per worker: the S image is merged from
-// per-worker maps (the resulting per-group record sets are
-// interleaving-independent; only their order varies, and every (r, s) pair
-// produces the same T row regardless), then the R pass reads it read-only.
-func (op *fojOp) populateM2M(tick func(int)) (int64, error) {
-	rTbl := op.db.Table(op.spec.Left)
-	sTbl := op.db.Table(op.spec.Right)
-	if rTbl == nil || sTbl == nil {
-		return 0, fmt.Errorf("core: join: source storage missing")
-	}
-	// Fuzzy image of S grouped by join value; chunked so the throttle
-	// sleeps with no latch held.
-	var sMu sync.Mutex
-	sByJoin := make(map[string][]storage.Record)
-	matched := make(map[string]bool)
-	if err := op.tr.forEachPartition(sTbl, func(pi int) error {
-		local := make(map[string][]storage.Record)
-		op.tr.scanPartition(sTbl, pi, func(recs []storage.Record) {
-			for _, rec := range recs {
-				jk := rec.Row.Project(op.sJoin).Encode()
-				local[jk] = append(local[jk], rec)
-			}
-			tick(len(recs))
-		})
-		sMu.Lock()
-		for k, v := range local {
-			sByJoin[k] = append(sByJoin[k], v...)
-		}
-		sMu.Unlock()
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	var rows atomic.Int64
-	err := op.tr.forEachPartition(rTbl, func(pi int) error {
-		localMatched := make(map[string]bool)
-		var werr error
-		op.tr.scanPartition(rTbl, pi, func(recs []storage.Record) {
-			if werr != nil {
-				return
-			}
-			for _, rec := range recs {
-				jk := rec.Row.Project(op.rJoin).Encode()
-				ss := sByJoin[jk]
-				if len(ss) == 0 {
-					if err := op.tTbl.Insert(op.rowFromR(rec.Row, rec.LSN), 0); err != nil {
-						werr = err
-						return
-					}
-					rows.Add(1)
-					continue
-				}
-				localMatched[jk] = true
-				for _, s := range ss {
-					if err := op.tTbl.Insert(op.joinRow(rec.Row, s.Row, rec.LSN, s.LSN), 0); err != nil {
-						werr = err
-						return
-					}
-					rows.Add(1)
-				}
-			}
-			tick(len(recs))
-		})
-		sMu.Lock()
-		for k := range localMatched {
-			matched[k] = true
-		}
-		sMu.Unlock()
-		return werr
-	})
-	if err != nil {
-		return rows.Load(), err
-	}
-	for jk, ss := range sByJoin {
-		if matched[jk] {
-			continue
-		}
-		for _, s := range ss {
-			if err := op.tTbl.Insert(op.rowFromS(s.Row, s.LSN), 0); err != nil {
-				return rows.Load(), err
-			}
-			rows.Add(1)
-			tick(1)
-		}
-	}
-	return rows.Load(), nil
-}
 
 // applyM2M dispatches one log record under the many-to-many rules.
 func (op *fojOp) applyM2M(rec *wal.Record) error {

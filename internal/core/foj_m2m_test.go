@@ -18,8 +18,12 @@ import (
 // and several teachers teach the same course.
 
 func newM2MDB(t *testing.T) *engine.DB {
+	return newM2MDBOpts(t, engine.Options{LockTimeout: 150 * time.Millisecond})
+}
+
+func newM2MDBOpts(t *testing.T, o engine.Options) *engine.DB {
 	t.Helper()
-	db := engine.New(engine.Options{LockTimeout: 150 * time.Millisecond})
+	db := engine.New(o)
 	r, err := catalog.NewTableDef("R", []catalog.Column{
 		{Name: "sid", Type: value.KindInt},
 		{Name: "sname", Type: value.KindString, Nullable: true},

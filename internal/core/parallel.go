@@ -1,28 +1,28 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"nbschema/internal/fault"
 	"nbschema/internal/obs"
 	"nbschema/internal/storage"
 	"nbschema/internal/wal"
 )
 
 // DefaultPropagateWorkers returns the worker count used for parallel
-// population and propagation when none is configured: GOMAXPROCS, capped at
-// 16 (propagation batches rarely contain more independent key groups than
-// that, and the coordinator itself needs a core).
+// population and propagation when none is configured: one less than
+// GOMAXPROCS, so a core stays with the foreground — the bulk population is
+// CPU-bound, and with a worker on every core of the 2-core reference host it
+// took half of the clients' throughput to finish a third sooner — at least
+// 1, capped at 16 (propagation batches rarely contain more independent key
+// groups than that).
 func DefaultPropagateWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 16 {
-		n = 16
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(runtime.GOMAXPROCS(0)-1, 16))
 }
 
 // conflictKeyer is implemented by operators whose propagation rules can
@@ -46,8 +46,9 @@ type conflictKeyer interface {
 // transitively-connected conflict groups and applying the groups
 // concurrently. All coordinator duties of the serial path — the
 // propagate.batch fault point, throttling, stall deadlines, cancellation,
-// and consistency-checker maintenance — fire from this goroutine only (a
-// crash action must not panic inside a worker).
+// and consistency-checker maintenance — fire from this goroutine only; a
+// panic inside a worker (an armed storage fault point, a bug) comes back to
+// it through runWorkers.
 func (tr *Transformation) propagateParallel(recs []*wal.Record, ck conflictKeyer, th *throttler) (int, error) {
 	workers := tr.cfg.PropagateWorkers
 	maxBatch := workers * tr.cfg.BatchSize
@@ -184,141 +185,124 @@ func groupByConflicts(recs []*wal.Record, keys [][]string) [][]*wal.Record {
 	return out
 }
 
-// runGroups applies independent conflict groups on a bounded worker pool,
-// each group's records in LSN order. The first error stops all workers from
-// picking up further groups and is returned.
-func (tr *Transformation) runGroups(groups [][]*wal.Record, workers int) error {
-	timed := tr.tl.Enabled()
-	if len(groups) == 1 {
-		start := time.Time{}
-		if timed {
-			start = time.Now()
-		}
-		for _, rec := range groups[0] {
-			if err := tr.handleRecord(rec); err != nil {
-				return err
-			}
-		}
-		if timed {
-			tr.tl.Span("group", obs.CatGroup, obs.TidWorkerBase,
-				start, time.Since(start), int64(len(groups[0])))
-		}
-		return nil
+// runWorkers runs body(0..n-1) on n goroutines and waits for all of them;
+// with n <= 1 it runs body(0) on the calling goroutine. The first error is
+// returned, and stop is raised as soon as any worker fails so the others can
+// leave their loops early. A panic in a worker never escapes its goroutine —
+// that would kill the host process from a goroutine nobody can recover on.
+// It is handed to the caller instead: an injected crash (fault.Crash) is
+// re-raised here, on the goroutine that called Run, where the process
+// boundary of a crash harness catches it like any other crash point; any
+// other panic becomes the returned error and so aborts the transformation.
+func runWorkers(n int, stop *atomic.Bool, body func(w int) error) error {
+	if n <= 1 {
+		return body(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+		crash any
+	)
+	fail := func(err error) {
+		stop.Store(true)
+		mu.Lock()
+		if first == nil {
+			first = err
+		}
+		mu.Unlock()
 	}
-	work := make(chan []*wal.Record)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for g := range work {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					continue
+			defer func() {
+				r := recover()
+				if _, injected := fault.AsCrash(r); injected {
+					stop.Store(true)
+					mu.Lock()
+					crash = r
+					mu.Unlock()
+				} else if r != nil {
+					fail(fmt.Errorf("core: worker panic: %v\n%s", r, debug.Stack()))
 				}
-				start := time.Time{}
-				if timed {
-					start = time.Now()
-				}
-				for _, rec := range g {
-					if err := tr.handleRecord(rec); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						break
-					}
-				}
-				if timed {
-					// One span per conflict group on the applying worker's
-					// track; N carries the group's record count.
-					tr.tl.Span("group", obs.CatGroup, obs.TidWorkerBase+int64(w),
-						start, time.Since(start), int64(len(g)))
-				}
+			}()
+			if err := body(w); err != nil {
+				fail(err)
 			}
 		}(w)
 	}
-	for _, g := range groups {
-		work <- g
-	}
-	close(work)
 	wg.Wait()
-	return firstErr
+	if crash != nil {
+		panic(crash)
+	}
+	return first
 }
 
-// forEachPartition runs fn over every heap partition of tbl on a bounded
-// worker pool of cfg.PropagateWorkers goroutines — the parallel initial
-// population driver. With one worker (or one partition) the partitions are
-// processed inline, in order: the exact serial population path.
-func (tr *Transformation) forEachPartition(tbl *storage.Table, fn func(pi int) error) error {
-	n := tbl.Partitions()
-	workers := tr.cfg.PropagateWorkers
-	if workers > n {
-		workers = n
-	}
+// runGroups applies independent conflict groups on a bounded worker pool,
+// each group's records in LSN order; a single group is applied inline. The
+// first error stops all workers from picking up further groups and is
+// returned.
+func (tr *Transformation) runGroups(groups [][]*wal.Record, workers int) error {
 	timed := tr.tl.Enabled()
-	if workers <= 1 {
-		for pi := 0; pi < n; pi++ {
+	var cursor atomic.Int64
+	var stop atomic.Bool
+	return runWorkers(min(workers, len(groups)), &stop, func(w int) error {
+		for !stop.Load() {
+			gi := int(cursor.Add(1)) - 1
+			if gi >= len(groups) {
+				break
+			}
 			start := time.Time{}
 			if timed {
 				start = time.Now()
 			}
-			if err := fn(pi); err != nil {
-				return err
+			for _, rec := range groups[gi] {
+				if err := tr.handleRecord(rec); err != nil {
+					return err
+				}
 			}
 			if timed {
-				tr.tl.Span("populate partition "+tbl.Def().Name, obs.CatPopulate,
-					obs.TidWorkerBase, start, time.Since(start), int64(pi))
+				// One span per conflict group on the applying worker's
+				// track; N carries the group's record count.
+				tr.tl.Span("group", obs.CatGroup, obs.TidWorkerBase+int64(w),
+					start, time.Since(start), int64(len(groups[gi])))
 			}
 		}
 		return nil
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for pi := range work {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					continue
-				}
-				start := time.Time{}
-				if timed {
-					start = time.Now()
-				}
-				if err := fn(pi); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				} else if timed {
-					// One span per scanned heap partition on the scanning
-					// worker's track; N carries the partition index.
-					tr.tl.Span("populate partition "+tbl.Def().Name, obs.CatPopulate,
-						obs.TidWorkerBase+int64(w), start, time.Since(start), int64(pi))
-				}
+	})
+}
+
+// forEachPartition scans every heap partition of tbl on a bounded pool of
+// cfg.PropagateWorkers goroutines — the parallel initial population driver.
+// work runs once per worker and draws partition indexes from next until it
+// reports false, so whatever work declares is that worker's state across all
+// the partitions it scans: a combiner map, a scratch buffer. With one worker
+// (or one partition) the partitions are processed inline, in order: the
+// exact serial population path.
+func (tr *Transformation) forEachPartition(tbl *storage.Table, work func(next func() (pi int, ok bool)) error) error {
+	n := tbl.Partitions()
+	timed := tr.tl.Enabled()
+	var cursor atomic.Int64
+	var stop atomic.Bool
+	return runWorkers(min(tr.cfg.PropagateWorkers, n), &stop, func(w int) error {
+		cur, start := -1, time.Time{}
+		return work(func() (int, bool) {
+			if timed && cur >= 0 {
+				// One span per scanned heap partition on the scanning
+				// worker's track; N carries the partition index.
+				tr.tl.Span("populate partition "+tbl.Def().Name, obs.CatPopulate,
+					obs.TidWorkerBase+int64(w), start, time.Since(start), int64(cur))
 			}
-		}(w)
-	}
-	for pi := 0; pi < n; pi++ {
-		work <- pi
-	}
-	close(work)
-	wg.Wait()
-	return firstErr
+			cur = int(cursor.Add(1)) - 1
+			if cur >= n || stop.Load() {
+				cur = -1
+				return 0, false
+			}
+			if timed {
+				start = time.Now()
+			}
+			return cur, true
+		})
+	})
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"nbschema/internal/catalog"
 	"nbschema/internal/engine"
@@ -60,18 +58,17 @@ type splitOp struct {
 	cc *ccState // §5.3 consistency checker (nil when disabled)
 
 	// sMu stripes the read-modify-write cycles on S records (absorbS,
-	// releaseS) by split-key hash, so parallel population workers — and, for
-	// keys that merely hash together, parallel propagation groups — absorb
-	// occurrences of the same split value atomically. Never held across
-	// stripes, so no ordering discipline is needed.
+	// releaseS) by split-key hash, so parallel propagation groups whose keys
+	// merely hash together absorb occurrences of the same split value
+	// atomically. Never held across stripes, so no ordering discipline is
+	// needed.
 	sMu [64]sync.Mutex
 }
 
 // sLock returns the stripe mutex covering one split key.
 func (op *splitOp) sLock(key value.Tuple) *sync.Mutex {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key.Encode()))
-	return &op.sMu[h.Sum32()%uint32(len(op.sMu))]
+	var scratch [64]byte
+	return &op.sMu[storage.HashKey(key.AppendEncode(scratch[:0]))%uint32(len(op.sMu))]
 }
 
 // NewSplit builds a split transformation. Target tables are created hidden
@@ -262,6 +259,16 @@ func (op *splitOp) sRow(payload value.Tuple, cnt int64, consistent bool) value.T
 func (op *splitOp) splitKeyOfT(t value.Tuple) value.Tuple { return t.Project(op.splitT) }
 func (op *splitOp) splitKeyOfR(r value.Tuple) value.Tuple { return r.Project(op.rSplit) }
 
+// payloadMatches reports whether T row t carries the payload of S row s.
+func (op *splitOp) payloadMatches(t, s value.Tuple) bool {
+	for i, c := range op.sFromT {
+		if !t[c].Equal(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // payloadEqual compares the payload halves of two S rows.
 func payloadEqual(a, b value.Tuple, n int) bool {
 	return value.Tuple(a[:n]).Equal(value.Tuple(b[:n]))
@@ -269,42 +276,122 @@ func payloadEqual(a, b value.Tuple, n int) bool {
 
 // ---- population ----
 
-// Populate fuzzily reads T and inserts the initial images of R and S, one
-// worker per source heap partition (bounded by Config.PropagateWorkers).
-// Each R record inherits the LSN of the T record it came from — the state
-// identifier the split propagation rules compare against. R inserts from
-// different partitions touch distinct primary keys and never conflict; S
-// merges are serialized per split value by the sMu stripes, and the counter
-// increments and max-LSN merges commute, so the populated image is the same
-// whatever the worker interleaving.
+// sAgg is what one population worker has seen of one split value: the S row
+// built from the first contributing T record (counter and flag are filled in
+// when the row is written), how many records contributed, their highest LSN,
+// and — under CheckConsistency — whether any of them disagreed with the
+// first on the payload.
+type sAgg struct {
+	row      value.Tuple
+	cnt      int64
+	lsn      wal.LSN
+	disagree bool
+}
+
+// fold merges b, another worker's aggregate of the same split value, into a.
+// Counters add and LSNs take the maximum, so the order of folding does not
+// matter.
+func (op *splitOp) fold(a, b *sAgg) {
+	a.cnt += b.cnt
+	a.lsn = maxLSN(a.lsn, b.lsn)
+	if op.cc != nil && (b.disagree || !payloadEqual(a.row, b.row, len(op.sFromT))) {
+		a.disagree = true
+	}
+}
+
+// Populate reads T (fuzzily, or at the population snapshot) and bulk-builds
+// the initial images of R and S, one worker per source heap partition at a
+// time (bounded by Config.PropagateWorkers). Each R record inherits the LSN
+// and the encoded key of the T record it came from — the state identifier
+// the split propagation rules compare against — and goes in with its scan
+// chunk as one batch; chunks of different partitions carry distinct primary
+// keys and never conflict. S is combined before it is written: every worker
+// aggregates the split values of all the partitions it scans in a map of its
+// own, the workers fold their maps together as they finish, and S is written
+// once from the result, one row per split value. Counts and maximum LSNs
+// commute, so the image is the same whatever the worker interleaving; until
+// that final write S is empty, and a crash before it — like one anywhere
+// else in population — is recovered by populating again.
 func (op *splitOp) Populate(tick func(int)) (int64, error) {
 	src := op.db.Table(op.spec.Source)
 	if src == nil {
 		return 0, fmt.Errorf("core: split: source storage missing")
 	}
-	var rows atomic.Int64
-	err := op.tr.forEachPartition(src, func(pi int) error {
+	op.rTbl.Reserve(src.Len())
+	var (
+		mu     sync.Mutex
+		rows   int64
+		groups map[string]*sAgg
+	)
+	err := op.tr.forEachPartition(src, func(next func() (int, bool)) error {
+		local := make(map[string]*sAgg)
+		var kbuf []byte
+		var n int64
 		var werr error
-		op.tr.scanPartition(src, pi, func(recs []storage.Record) {
-			if werr != nil {
-				return
-			}
-			for _, rec := range recs {
-				if err := op.rTbl.Insert(op.rPart(rec.Row), rec.LSN); err != nil {
+		for pi, ok := next(); ok && werr == nil; pi, ok = next() {
+			op.tr.scanPartition(src, pi, func(recs []storage.Record) {
+				if werr != nil {
+					return
+				}
+				batch := make([]storage.Record, len(recs))
+				for i, rec := range recs {
+					batch[i] = storage.Record{Row: op.rPart(rec.Row), LSN: rec.LSN, Key: rec.Key}
+					kbuf = rec.Row.AppendEncodeProject(kbuf[:0], op.splitT)
+					a := local[string(kbuf)]
+					if a == nil {
+						a = &sAgg{row: op.sRow(op.sPayload(rec.Row), 0, true)}
+						local[string(kbuf)] = a
+					} else if op.cc != nil && !a.disagree && !op.payloadMatches(rec.Row, a.row) {
+						a.disagree = true
+					}
+					a.cnt++
+					a.lsn = maxLSN(a.lsn, rec.LSN)
+				}
+				stored, err := op.rTbl.InsertBatch(batch, nil)
+				n += int64(stored)
+				if err != nil {
 					werr = err
 					return
 				}
-				if err := op.absorbS(nil, op.sPayload(rec.Row), rec.LSN); err != nil {
-					werr = err
-					return
-				}
-				rows.Add(1)
+				tick(len(recs))
+			})
+		}
+		if werr != nil {
+			return werr
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		rows += n
+		if groups == nil {
+			groups = local
+			return nil
+		}
+		for k, a := range local {
+			if g := groups[k]; g != nil {
+				op.fold(g, a)
+			} else {
+				groups[k] = a
 			}
-			tick(len(recs))
-		})
-		return werr
+		}
+		return nil
 	})
-	return rows.Load(), err
+	if err != nil {
+		return 0, err
+	}
+	op.sTbl.Reserve(len(groups))
+	batch := make([]storage.Record, 0, len(groups))
+	for k, g := range groups {
+		g.row[op.cntPos] = value.Int(g.cnt)
+		g.row[op.flagPos] = value.Bool(!g.disagree)
+		if g.disagree {
+			// Records with the same split value and different payloads: the
+			// S record's consistency is unknown (§5.3).
+			op.cc.markUnknown(value.Tuple(g.row[:len(op.splitT)]))
+		}
+		batch = append(batch, storage.Record{Row: g.row, LSN: g.lsn, Key: k})
+	}
+	_, err = op.sTbl.InsertBatch(batch, nil)
+	return rows, err
 }
 
 // absorbS merges one occurrence of an S payload into the S table: counter
@@ -313,7 +400,7 @@ func (op *splitOp) Populate(tick func(int)) (int64, error) {
 // key's stripe mutex so concurrent absorbs of the same value never lose an
 // increment.
 func (op *splitOp) absorbS(rec *wal.Record, payload value.Tuple, lsn wal.LSN) error {
-	key := payload.Project(rangeInts(len(op.splitT)))
+	key := value.Tuple(payload[:len(op.splitT)])
 	mu := op.sLock(key)
 	mu.Lock()
 	defer mu.Unlock()
@@ -358,12 +445,19 @@ func (op *splitOp) releaseS(rec *wal.Record, key value.Tuple, lsn wal.LSN) error
 	return err
 }
 
+// shadowR and shadowS place the transferred lock of the transaction that
+// logged rec on r^key / s^key; the key is only encoded when there is such a
+// transaction.
 func (op *splitOp) shadowR(rec *wal.Record, key value.Tuple) {
-	op.tr.placeShadow(rec, op.spec.Left, key.Encode())
+	if rec != nil && rec.Txn != 0 {
+		op.tr.placeShadow(rec, op.spec.Left, key.Encode())
+	}
 }
 
 func (op *splitOp) shadowS(rec *wal.Record, key value.Tuple) {
-	op.tr.placeShadow(rec, op.spec.Right, key.Encode())
+	if rec != nil && rec.Txn != 0 {
+		op.tr.placeShadow(rec, op.spec.Right, key.Encode())
+	}
 	op.cc.invalidate(key)
 }
 
@@ -653,12 +747,4 @@ func maxLSN(a, b wal.LSN) wal.LSN {
 		return a
 	}
 	return b
-}
-
-func rangeInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

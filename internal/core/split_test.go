@@ -103,7 +103,7 @@ func assertSplitConverged(t *testing.T, op *splitOp) {
 		r := op.rPart(row.Clone())
 		wantR[r.Project(op.rDef.PrimaryKey).Encode()] = r
 		p := op.sPayload(row.Clone())
-		k := p.Project(rangeInts(len(op.splitT))).Encode()
+		k := value.Tuple(p[:len(op.splitT)]).Encode()
 		wantS[k] = p
 		wantCnt[k]++
 		return true

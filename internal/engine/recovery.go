@@ -76,10 +76,9 @@ func restart(defs []*catalog.TableDef, log *wal.Log, snap *storage.Snapshot, opt
 				return nil, fmt.Errorf("engine: restart: recreating table %s from checkpoint: %w", st.Def.Name, err)
 			}
 			tbl := db.Table(st.Def.Name)
-			for _, r := range st.Rows {
-				if err := tbl.Insert(r.Row, r.LSN); err != nil {
-					return nil, fmt.Errorf("engine: restart: restoring table %s: %w", st.Def.Name, err)
-				}
+			tbl.Reserve(len(st.Rows))
+			if _, err := tbl.InsertBatch(st.Rows, nil); err != nil {
+				return nil, fmt.Errorf("engine: restart: restoring table %s: %w", st.Def.Name, err)
 			}
 			rows += len(st.Rows)
 		}

@@ -603,7 +603,9 @@ func (t *Txn) compensate(rec *wal.Record, applied bool) {
 	case wal.TypeUpdate:
 		_, _ = tbl.UpdateW(clr.Key, clr.Cols, clr.New, lsn, w)
 	case wal.TypeInsert:
-		_ = tbl.InsertW(clr.Row, lsn, w)
+		// The before-image is a stored tuple the delete handed back: shared,
+		// read-only, and safe to store again without a copy.
+		_ = tbl.InsertEncW(clr.Row, clr.Key.AppendEncode(nil), lsn, w)
 	}
 }
 

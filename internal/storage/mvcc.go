@@ -377,7 +377,7 @@ func (t *Table) SnapshotScanPartition(pi int, ts uint64, chunk int, fn func(rows
 			var head *version
 			if rec, ok := p.rows[k]; ok {
 				if rec.vc == nil {
-					buf = append(buf, Record{Row: t.outRow(rec.Row), LSN: rec.LSN})
+					buf = append(buf, Record{Row: t.outRow(rec.Row), LSN: rec.LSN, Key: k})
 					continue
 				}
 				head = rec.vc
@@ -385,7 +385,7 @@ func (t *Table) SnapshotScanPartition(pi int, ts uint64, chunk int, fn func(rows
 				head = p.dead[k]
 			}
 			if v := visibleVersion(head, ts); v != nil && v.row != nil {
-				buf = append(buf, Record{Row: t.outRow(v.row), LSN: v.lsn})
+				buf = append(buf, Record{Row: t.outRow(v.row), LSN: v.lsn, Key: k})
 			}
 		}
 		p.mu.RUnlock()

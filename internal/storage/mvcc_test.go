@@ -27,6 +27,11 @@ func writer(begin uint64) *WriteCtx {
 
 func key(id int64) value.Tuple { return value.Tuple{value.Int(id)} }
 
+// insertW is a transactional insert of a plain tuple.
+func insertW(tbl *Table, r value.Tuple, lsn wal.LSN, w *WriteCtx) error {
+	return tbl.InsertEncW(r, tbl.AppendKeyOfRow(nil, r), lsn, w)
+}
+
 func TestMVCCVisibilityAcrossCommit(t *testing.T) {
 	tbl, _, _ := mvccTable(t)
 	// System write: visible to every snapshot, even ts 0.
@@ -134,11 +139,11 @@ func TestMVCCDeleteTombstoneAndReinsert(t *testing.T) {
 	// Insert over the committed delete: a stale writer conflicts with the
 	// tombstone, a fresh one links the prior life back onto its chain.
 	stale := writer(0)
-	if err := tbl.InsertW(row(1, "ops", 50), 4, stale); !errors.Is(err, ErrWriteConflict) {
+	if err := insertW(tbl, row(1, "ops", 50), 4, stale); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("stale reinsert err = %v, want ErrWriteConflict", err)
 	}
 	fresh := writer(3)
-	if err := tbl.InsertW(row(1, "ops", 50), 5, fresh); err != nil {
+	if err := insertW(tbl, row(1, "ops", 50), 5, fresh); err != nil {
 		t.Fatal(err)
 	}
 	fresh.Cell.Commit(7)
@@ -208,7 +213,7 @@ func TestMVCCSnapshotScanConsistentCut(t *testing.T) {
 	if _, err := tbl.DeleteW(key(4), w); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.InsertW(row(10, "new", 10), 3, w); err != nil {
+	if err := insertW(tbl, row(10, "new", 10), 3, w); err != nil {
 		t.Fatal(err)
 	}
 	w.Cell.Commit(2)

@@ -120,9 +120,10 @@ type Options struct {
 	GroupCommit int
 	// PropagateWorkers sets the database-wide default worker count
 	// transformations use for parallel initial population and parallel log
-	// propagation. 0 selects GOMAXPROCS capped at 16; 1 runs
-	// transformations serially. TransformOptions.PropagateWorkers overrides
-	// it per transformation.
+	// propagation. 0 selects GOMAXPROCS-1 (one core stays with the
+	// foreground), at least 1 and at most 16; 1 runs transformations
+	// serially. TransformOptions.PropagateWorkers overrides it per
+	// transformation.
 	PropagateWorkers int
 	// CompactPropagation sets the database-wide default for net-effect log
 	// compaction during propagation: each propagation interval is coalesced

@@ -141,8 +141,8 @@ type TransformOptions struct {
 	// PropagateWorkers is the number of workers used for parallel initial
 	// population and (for operators that support it) parallel log
 	// propagation of independent-key batches. 0 inherits the database-wide
-	// Options.PropagateWorkers (itself defaulting to GOMAXPROCS, capped at
-	// 16); 1 runs population and propagation serially.
+	// Options.PropagateWorkers (itself defaulting to GOMAXPROCS-1, at least
+	// 1 and at most 16); 1 runs population and propagation serially.
 	PropagateWorkers int
 	// CompactPropagation selects net-effect compaction of each propagation
 	// interval before replay (operators that support it; splits do, FOJ
