@@ -14,8 +14,7 @@ import (
 
 	"nbschema"
 	"nbschema/internal/bench"
-	"nbschema/internal/value"
-	"nbschema/internal/wal"
+	"nbschema/internal/storage"
 	"nbschema/internal/workload"
 )
 
@@ -232,7 +231,9 @@ func BenchmarkFuzzyScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		tbl.FuzzyScan(256, func(_ value.Tuple, _ wal.LSN) { n++ })
+		for pi := 0; pi < tbl.Partitions(); pi++ {
+			tbl.FuzzyScanPartition(pi, 256, func(recs []storage.Record) { n += len(recs) })
+		}
 		if n != 20000 {
 			b.Fatalf("scanned %d rows", n)
 		}

@@ -3,14 +3,16 @@
 //
 // Usage:
 //
-//	nbschema-bench [-fig 4a|4b|4c|4d|4a-foj|4c-foj|cc|sync|ablation|workload|scale|compaction|recovery|lag|mvcc|hotpath|all]
+//	nbschema-bench [-fig 4a|4b|4c|4d|4a-foj|4c-foj|cc|sync|ablation|workload|scale|compaction|recovery|lag|mvcc|all]
 //	               [-paper] [-rows N] [-sample dur] [-repeats N] [-seed N]
 //	               [-out file.json] [-timeline file.json]
 //
 // The workload experiment additionally writes a machine-readable JSON report
 // (-out, default BENCH_workload.json): per-window throughput and response-time
 // percentiles, transformation phase durations, per-rule propagation counts,
-// live progress samples with ETA, and the full engine metric snapshot.
+// live progress samples with ETA, and the full engine metric snapshot. The
+// scale, compaction, recovery, lag and mvcc experiments each replace their own
+// field of that report and leave the rest of the file as it was.
 //
 // By default a laptop-scale variant of every figure runs in a few minutes;
 // -paper selects the paper's 50 000/20 000-record setup (slower, less noisy).
@@ -29,7 +31,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 4a, 4b, 4c, 4d, 4a-foj, 4c-foj, cc, sync, ablation, workload, scale, compaction, recovery, lag, mvcc, hotpath, all")
+		fig     = flag.String("fig", "all", "figure to regenerate: 4a, 4b, 4c, 4d, 4a-foj, 4c-foj, cc, sync, ablation, workload, scale, compaction, recovery, lag, mvcc, all")
 		paper   = flag.Bool("paper", false, "use the paper's table sizes (50k/20k records)")
 		rows    = flag.Int("rows", 0, "override row count for the transformed table(s)")
 		sample  = flag.Duration("sample", 0, "override measurement window")
@@ -56,20 +58,36 @@ func main() {
 	}
 	p.Seed = *seed
 
-	type experiment struct {
+	experiments := []struct {
 		name string
-		run  func(bench.Params) (bench.Result, error)
-	}
-	experiments := []experiment{
-		{"4a", bench.Figure4a},
-		{"4b", bench.Figure4b},
-		{"4c", bench.Figure4c},
-		{"4d", bench.Figure4d},
-		{"4a-foj", bench.Figure4aFOJ},
-		{"4c-foj", bench.Figure4cFOJ},
-		{"cc", bench.FigureCC},
-		{"sync", func(p bench.Params) (bench.Result, error) { return bench.SyncLatency(p, 5) }},
-		{"ablation", bench.AblationTriggers},
+		run  runFn
+	}{
+		{"4a", printed(bench.Figure4a)},
+		{"4b", printed(bench.Figure4b)},
+		{"4c", printed(bench.Figure4c)},
+		{"4d", printed(bench.Figure4d)},
+		{"4a-foj", printed(bench.Figure4aFOJ)},
+		{"4c-foj", printed(bench.Figure4cFOJ)},
+		{"cc", printed(bench.FigureCC)},
+		{"sync", printed(func(p bench.Params) (bench.Result, error) { return bench.SyncLatency(p, 5) })},
+		{"ablation", printed(bench.AblationTriggers)},
+		{"workload", runWorkload},
+		{"scale", merged(bench.FigureScale, func(rep *bench.WorkloadReport, v *bench.ScaleReport) { rep.Scale = v })},
+		{"compaction", merged(bench.FigureCompaction, func(rep *bench.WorkloadReport, v *bench.CompactionReport) { rep.Compaction = v })},
+		{"recovery", merged(bench.FigureRecovery, func(rep *bench.WorkloadReport, v *bench.RecoveryReport) { rep.Recovery = v })},
+		{"lag", func(p bench.Params) (contribution, error) {
+			res, lag, trace, err := bench.FigureLag(p)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Println(res.Format())
+			if err := os.WriteFile(*tlOut, trace, 0o644); err != nil {
+				return nil, err
+			}
+			fmt.Printf("timeline trace written to %s\n", *tlOut)
+			return func(rep *bench.WorkloadReport) { rep.Lag = lag }, nil
+		}},
+		{"mvcc", merged(bench.FigureMVCC, func(rep *bench.WorkloadReport, v *bench.MVCCReport) { rep.MVCC = v })},
 	}
 
 	want := strings.ToLower(*fig)
@@ -82,83 +100,17 @@ func main() {
 		ran++
 		fmt.Printf("running %s ...\n", e.name)
 		t0 := time.Now()
-		r, err := e.run(p)
+		apply, err := e.run(p)
+		if err == nil && apply != nil {
+			if err = mergeReport(*out, p.Seed, apply); err == nil {
+				fmt.Printf("%s report merged into %s\n", e.name, *out)
+			}
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Println(r.Format())
 		fmt.Printf("(%s in %v)\n\n", e.name, time.Since(t0).Round(time.Millisecond))
-	}
-	if want == "workload" || want == "all" {
-		ran++
-		fmt.Println("running workload ...")
-		t0 := time.Now()
-		if err := runWorkload(p, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "workload: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(workload in %v)\n\n", time.Since(t0).Round(time.Millisecond))
-	}
-	if want == "scale" || want == "all" {
-		ran++
-		fmt.Println("running scale ...")
-		t0 := time.Now()
-		if err := runScale(p, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(scale in %v)\n\n", time.Since(t0).Round(time.Millisecond))
-	}
-	if want == "compaction" || want == "all" {
-		ran++
-		fmt.Println("running compaction ...")
-		t0 := time.Now()
-		if err := runCompaction(p, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "compaction: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(compaction in %v)\n\n", time.Since(t0).Round(time.Millisecond))
-	}
-	if want == "recovery" || want == "all" {
-		ran++
-		fmt.Println("running recovery ...")
-		t0 := time.Now()
-		if err := runRecovery(p, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "recovery: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(recovery in %v)\n\n", time.Since(t0).Round(time.Millisecond))
-	}
-	if want == "lag" || want == "all" {
-		ran++
-		fmt.Println("running lag ...")
-		t0 := time.Now()
-		if err := runLag(p, *out, *tlOut); err != nil {
-			fmt.Fprintf(os.Stderr, "lag: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(lag in %v)\n\n", time.Since(t0).Round(time.Millisecond))
-	}
-	if want == "mvcc" || want == "all" {
-		ran++
-		fmt.Println("running mvcc ...")
-		t0 := time.Now()
-		if err := runMVCC(p, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "mvcc: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(mvcc in %v)\n\n", time.Since(t0).Round(time.Millisecond))
-	}
-	if want == "hotpath" || want == "all" {
-		ran++
-		fmt.Println("running hotpath ...")
-		t0 := time.Now()
-		if err := runHotpath(p, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(hotpath in %v)\n\n", time.Since(t0).Round(time.Millisecond))
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
@@ -168,25 +120,51 @@ func main() {
 	fmt.Printf("done: %d experiment(s) in %v\n", ran, time.Since(start).Round(time.Millisecond))
 }
 
-// runScale runs the concurrency scale figure (throughput vs. client count at
-// 1/2/4/8 stripes-partitions) and merges the result into the workload report
-// file: if path already holds a readable report, only its "scale" field is
-// replaced; otherwise a fresh report carrying just the scale data is written.
-func runScale(p bench.Params, path string) error {
-	res, scale, err := bench.FigureScale(p)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Format())
+// A contribution is what one experiment changes in the report file; nil
+// leaves the file alone. A runFn runs an experiment, prints its figure and
+// returns its contribution.
+type (
+	contribution func(*bench.WorkloadReport)
+	runFn        func(bench.Params) (contribution, error)
+)
 
-	rep := &bench.WorkloadReport{Seed: p.Seed}
+// printed adapts a figure that only prints a table.
+func printed(f func(bench.Params) (bench.Result, error)) runFn {
+	return func(p bench.Params) (contribution, error) {
+		res, err := f(p)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Println(res.Format())
+		return nil, nil
+	}
+}
+
+// merged adapts a figure that prints a table and owns one field of the report
+// file, which set stores.
+func merged[T any](f func(bench.Params) (bench.Result, T, error), set func(*bench.WorkloadReport, T)) runFn {
+	return func(p bench.Params) (contribution, error) {
+		res, v, err := f(p)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Println(res.Format())
+		return func(rep *bench.WorkloadReport) { set(rep, v) }, nil
+	}
+}
+
+// mergeReport applies one experiment's contribution to the report file: a
+// readable report at path keeps every field apply does not touch; otherwise a
+// fresh report carrying only the seed is the starting point.
+func mergeReport(path string, seed int64, apply contribution) error {
+	rep := &bench.WorkloadReport{Seed: seed}
 	if data, err := os.ReadFile(path); err == nil {
 		var existing bench.WorkloadReport
 		if json.Unmarshal(data, &existing) == nil {
 			rep = &existing
 		}
 	}
-	rep.Scale = scale
+	apply(rep)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -195,191 +173,15 @@ func runScale(p bench.Params, path string) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("scale report merged into %s\n", path)
-	return nil
+	return f.Close()
 }
 
-// runCompaction runs the net-effect compaction ablation (raw replay vs.
-// compacted replay of the same workload, plus the scripted image-equality
-// check) and merges the result into the workload report file the same way
-// runScale does.
-func runCompaction(p bench.Params, path string) error {
-	res, comp, err := bench.FigureCompaction(p)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Format())
-
-	rep := &bench.WorkloadReport{Seed: p.Seed}
-	if data, err := os.ReadFile(path); err == nil {
-		var existing bench.WorkloadReport
-		if json.Unmarshal(data, &existing) == nil {
-			rep = &existing
-		}
-	}
-	rep.Compaction = comp
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("compaction report merged into %s\n", path)
-	return nil
-}
-
-// runRecovery runs the checkpoint recovery-bound figure (records replayed at
-// restart vs. history length, full replay against checkpoint restart) and
-// merges the result into the workload report file the same way runScale does.
-func runRecovery(p bench.Params, path string) error {
-	res, rec, err := bench.FigureRecovery(p)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Format())
-
-	rep := &bench.WorkloadReport{Seed: p.Seed}
-	if data, err := os.ReadFile(path); err == nil {
-		var existing bench.WorkloadReport
-		if json.Unmarshal(data, &existing) == nil {
-			rep = &existing
-		}
-	}
-	rep.Recovery = rec
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("recovery report merged into %s\n", path)
-	return nil
-}
-
-// runLag runs the freshness-lag figure (lag watermark time series around a
-// background split, switchover verdict against the SLO, per-phase timeline
-// summary), merges the result into the workload report file the same way
-// runScale does, and writes the run's Chrome-trace timeline to tlPath.
-func runLag(p bench.Params, path, tlPath string) error {
-	res, lag, trace, err := bench.FigureLag(p)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Format())
-
-	rep := &bench.WorkloadReport{Seed: p.Seed}
-	if data, err := os.ReadFile(path); err == nil {
-		var existing bench.WorkloadReport
-		if json.Unmarshal(data, &existing) == nil {
-			rep = &existing
-		}
-	}
-	rep.Lag = lag
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("lag report merged into %s\n", path)
-	if err := os.WriteFile(tlPath, trace, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("timeline trace written to %s\n", tlPath)
-	return nil
-}
-
-// runMVCC runs the snapshot-isolation figure (read latency of 2PL locking
-// readers vs MVCC snapshot readers during a live split) and merges the
-// result into the workload report file the same way runScale does.
-func runMVCC(p bench.Params, path string) error {
-	res, mvcc, err := bench.FigureMVCC(p)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Format())
-
-	rep := &bench.WorkloadReport{Seed: p.Seed}
-	if data, err := os.ReadFile(path); err == nil {
-		var existing bench.WorkloadReport
-		if json.Unmarshal(data, &existing) == nil {
-			rep = &existing
-		}
-	}
-	rep.MVCC = mvcc
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("mvcc report merged into %s\n", path)
-	return nil
-}
-
-// runHotpath runs the hot-path memory-discipline figure (single-thread txn
-// throughput and allocations per transaction, shared read-only rows vs the
-// clone-on-read ablation) and merges the result into the workload report
-// file the same way runScale does.
-func runHotpath(p bench.Params, path string) error {
-	res, hp, err := bench.FigureHotpath(p)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Format())
-
-	rep := &bench.WorkloadReport{Seed: p.Seed}
-	if data, err := os.ReadFile(path); err == nil {
-		var existing bench.WorkloadReport
-		if json.Unmarshal(data, &existing) == nil {
-			rep = &existing
-		}
-	}
-	rep.Hotpath = hp
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("hotpath report merged into %s\n", path)
-	return nil
-}
-
-// runWorkload runs the instrumented workload experiment, prints a short
-// summary and writes the machine-readable report to path.
-func runWorkload(p bench.Params, path string) error {
+// runWorkload runs the instrumented workload experiment and prints a short
+// summary; its report replaces the whole report file.
+func runWorkload(p bench.Params) (contribution, error) {
 	rep, err := bench.RunWorkload(p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("== workload — closed-loop update workload around a background split ==\n")
 	fmt.Printf("%-10s %12s %12s %10s %10s %10s %6s %6s\n",
@@ -393,18 +195,5 @@ func runWorkload(p bench.Params, path string) error {
 		t.TotalMs, t.PopulationMs, t.PropagationMs, t.Iterations, t.SyncLatchMs)
 	fmt.Printf("           %d records applied, rules %v, %d trace events, %d progress samples\n",
 		t.RecordsApplied, t.Rules, t.TraceEvents, len(t.Progress))
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("report written to %s\n", path)
-	return nil
+	return func(file *bench.WorkloadReport) { *file = *rep }, nil
 }

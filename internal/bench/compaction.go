@@ -186,8 +186,8 @@ func runScriptedSplit(p Params, mode core.CompactionMode) ([]string, error) {
 	var scriptDone atomic.Bool
 	inner := core.EstimateAnalyzer(q.SampleDur / 2)
 	tr, err := env.transformation(core.Config{
-		Priority: q.Priority,
-		Strategy: core.NonBlockingAbort,
+		Priority:   q.Priority,
+		Strategy:   core.NonBlockingAbort,
 		Compaction: mode,
 		Analyzer: func(a core.Analysis) bool {
 			return scriptDone.Load() && inner(a)

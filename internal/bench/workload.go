@@ -97,11 +97,6 @@ type WorkloadReport struct {
 	// latency and throughput of 2PL locking readers vs MVCC snapshot
 	// readers during a live transformation; merged like Scale.
 	MVCC *MVCCReport `json:"mvcc,omitempty"`
-	// Hotpath carries the hot-path memory-discipline figure
-	// (FigureHotpath) — single-thread transaction throughput and heap
-	// allocations per transaction, shared reads vs the clone-on-read
-	// ablation; merged like Scale.
-	Hotpath *HotpathReport `json:"hotpath,omitempty"`
 }
 
 // WriteJSON writes the report as indented JSON.

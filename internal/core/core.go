@@ -187,18 +187,11 @@ func EstimateAnalyzer(limit time.Duration) Analyzer {
 type CompactionMode int
 
 const (
-	// CompactionDefault inherits the surrounding default (on, unless the
-	// database was opened with compaction disabled).
-	CompactionDefault CompactionMode = iota
-	// CompactionOn compacts every propagation interval.
-	CompactionOn
+	// CompactionOn (the zero value) compacts every propagation interval.
+	CompactionOn CompactionMode = iota
 	// CompactionOff replays the raw log tail — the ablation baseline.
 	CompactionOff
 )
-
-// enabled reports whether this mode turns compaction on; only an explicit
-// CompactionOff disables it.
-func (m CompactionMode) enabled() bool { return m != CompactionOff }
 
 // Config tunes a transformation. The zero value is usable: full priority,
 // count-based analysis with a small threshold, non-blocking abort.
@@ -324,7 +317,7 @@ type Metrics struct {
 	SyncLatchDuration time.Duration
 	DrainDuration     time.Duration
 	TotalDuration     time.Duration
-	Iterations int
+	Iterations        int
 	// RecordsApplied is the number of log records propagation applied —
 	// after net-effect compaction, when enabled. RecordsScanned is the raw
 	// number of log records consumed; their ratio is the compaction win.
@@ -407,7 +400,7 @@ type Transformation struct {
 	phase        atomic.Int32
 	priority     atomic.Uint64 // math.Float64bits
 	cancel       atomic.Bool
-	latchTargets atomic.Bool // post-switchover: serialize rule application
+	latchTargets atomic.Bool  // post-switchover: serialize rule application
 	applied      atomic.Int64 // records applied so far, live (Progress)
 
 	// comp coalesces propagation intervals to their net effect; owned by

@@ -25,7 +25,7 @@ type Freshness struct {
 	// OldestUnappliedCommit is the low-water mark: the commit wall-clock time
 	// of the oldest unapplied timestamped commit record. Zero when every
 	// timestamped commit has been applied (the target is fresh) or when the
-	// backlog holds only v1/v2 records with no timestamp.
+	// backlog holds only commit records with no timestamp.
 	OldestUnappliedCommit time.Time `json:"oldest_unapplied_commit"`
 	// Lag is the age of OldestUnappliedCommit: how stale the target is right
 	// now in wall-clock terms. 0 when the target is fresh.

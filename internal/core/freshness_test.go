@@ -21,7 +21,7 @@ func TestFreshCacheMonotonicFrontier(t *testing.T) {
 	log.Append(&wal.Record{Txn: 1, Type: wal.TypeCommit, Time: now})
 	log.Append(&wal.Record{Txn: 2, Type: wal.TypeBegin})
 	log.Append(&wal.Record{Txn: 2, Type: wal.TypeCommit, Time: now + 1000})
-	log.Append(&wal.Record{Txn: 3, Type: wal.TypeCommit}) // v1/v2 vintage: no Time
+	log.Append(&wal.Record{Txn: 3, Type: wal.TypeCommit}) // unstamped: no Time
 	log.Append(&wal.Record{Txn: 4, Type: wal.TypeBegin})
 
 	var c freshCache

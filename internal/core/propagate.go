@@ -311,7 +311,7 @@ func (tr *Transformation) propagateRange(from, to wal.LSN, th *throttler) (appli
 	}
 	recs := tr.db.Log().Scan(from, to)
 	scanned = len(recs)
-	if nk, ok := tr.op.(netKeyer); ok && tr.cfg.Compaction.enabled() {
+	if nk, ok := tr.op.(netKeyer); ok && tr.cfg.Compaction != CompactionOff {
 		if tr.comp == nil {
 			tr.comp = newCompactor()
 		}

@@ -102,8 +102,8 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 
 	var locks struct {
-		Entries  int `json:"entries"`
-		Locks    []struct {
+		Entries int `json:"entries"`
+		Locks   []struct {
 			Table   string            `json:"table"`
 			Holders map[string]string `json:"holders"`
 		} `json:"locks"`

@@ -122,12 +122,17 @@ func BenchmarkTxnScan(b *testing.B) {
 	tbl := db.Table("acct")
 	n := 0
 	fn := func(recs []storage.Record) { n += len(recs) }
-	tbl.FuzzyScanChunks(0, fn) // warm the pooled buffers
+	scan := func() {
+		for pi := 0; pi < tbl.Partitions(); pi++ {
+			tbl.FuzzyScanPartition(pi, 0, fn)
+		}
+	}
+	scan() // warm the pooled buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n = 0
-		tbl.FuzzyScanChunks(0, fn)
+		scan()
 	}
 	b.StopTimer()
 	if n != rows {

@@ -118,7 +118,6 @@ func (db *DB) Checkpoint(w io.Writer) (CheckpointStats, error) {
 
 	st = CheckpointStats{Begin: begin, End: end, Tables: len(tables), Bytes: sw.Bytes()}
 	db.ckptLastLSN.Store(uint64(begin))
-	db.ckptLastBytes.Store(db.log.ApproxBytes())
 	db.met.ckptCount.Add(1)
 	db.met.ckptBytes.Add(st.Bytes)
 	db.met.ckptLast.Set(int64(begin))
@@ -174,24 +173,13 @@ func (db *DB) checkpointMarks(begin wal.LSN) ([]wal.ActiveTxn, []wal.TableMark) 
 	return active, marks
 }
 
-// maybeCheckpoint fires an automatic checkpoint when the configured record or
-// byte budget since the last one is exhausted. Checkpoints are single-flight:
-// a trigger while one is running is dropped (the next commit re-evaluates).
+// maybeCheckpoint fires an automatic checkpoint when the configured record
+// budget since the last one is exhausted. Checkpoints are single-flight: a
+// trigger while one is running is dropped (the next commit re-evaluates).
 func (db *DB) maybeCheckpoint() {
-	sink := db.opts.CheckpointSink
-	if sink == nil || (db.opts.CheckpointEvery <= 0 && db.opts.CheckpointEveryBytes <= 0) {
-		return
-	}
-	trigger := false
-	if n := db.opts.CheckpointEvery; n > 0 &&
-		int(db.log.End())-int(db.ckptLastLSN.Load()) >= n {
-		trigger = true
-	}
-	if b := db.opts.CheckpointEveryBytes; !trigger && b > 0 &&
-		db.log.ApproxBytes()-db.ckptLastBytes.Load() >= b {
-		trigger = true
-	}
-	if !trigger || !db.ckptBusy.CompareAndSwap(false, true) {
+	sink, n := db.opts.CheckpointSink, db.opts.CheckpointEvery
+	if sink == nil || n <= 0 || int(db.log.End())-int(db.ckptLastLSN.Load()) < n ||
+		!db.ckptBusy.CompareAndSwap(false, true) {
 		return
 	}
 	go func() {

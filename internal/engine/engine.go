@@ -101,13 +101,9 @@ type Options struct {
 	// (every append flushes itself).
 	GroupCommit int
 	// CheckpointEvery triggers an automatic fuzzy checkpoint after this many
-	// log records have accumulated since the last one. 0 disables the
-	// record-count trigger. Automatic checkpoints also require CheckpointSink.
+	// log records have accumulated since the last one. 0 disables automatic
+	// checkpoints, which also require CheckpointSink.
 	CheckpointEvery int
-	// CheckpointEveryBytes triggers an automatic fuzzy checkpoint after
-	// approximately this many log bytes have accumulated since the last one.
-	// 0 disables the byte trigger.
-	CheckpointEveryBytes int64
 	// CheckpointSink supplies the destination stream for each automatic
 	// checkpoint. It is called once per checkpoint from a background
 	// goroutine; the writer is closed when the checkpoint completes.
@@ -128,27 +124,7 @@ type Options struct {
 	// Off by default; the disabled mode costs one branch per write and
 	// nothing on the read path.
 	SnapshotReads bool
-	// SharedReads selects the read-path row-sharing discipline for every
-	// table created on this DB. The default (SharedReadsOn, the zero value)
-	// hands out the stored tuples themselves: reads and scans allocate
-	// nothing, and correctness rests on the engine-wide copy-on-write
-	// invariant that writers replace rows wholesale and never mutate a
-	// tuple in place. SharedReadsOff restores the historical clone-on-read
-	// behavior — every read deep-copies — and exists as the ablation arm
-	// for benchmarks and as a belt-and-braces mode for embedders that
-	// mutate returned rows.
-	SharedReads SharedReadsMode
 }
-
-// SharedReadsMode selects how reads return rows; see Options.SharedReads.
-type SharedReadsMode int
-
-const (
-	// SharedReadsOn (the default) returns shared read-only tuples.
-	SharedReadsOn SharedReadsMode = iota
-	// SharedReadsOff clones every row a read or scan returns.
-	SharedReadsOff
-)
 
 // engineMetrics bundles the engine-level metric handles. All handles are
 // nil (and therefore no-ops) when the DB was opened without a registry.
@@ -226,16 +202,15 @@ type DB struct {
 	oldestSnap  atomic.Uint64
 	endsSinceGC atomic.Uint64
 
-	// Checkpoint state: begin LSN and approximate log size at the last
-	// completed checkpoint, and the single-flight gate for the automatic
-	// trigger. restored/replayed describe what restart recovered from.
-	ckptLastLSN   atomic.Uint64
-	ckptLastBytes atomic.Int64
-	ckptBusy      atomic.Bool
-	restoredCkpt  *RestoredCheckpoint
-	restarted     bool
-	restartLSN    wal.LSN
-	replayed      atomic.Int64
+	// Checkpoint state: begin LSN of the last completed checkpoint, and the
+	// single-flight gate for the automatic trigger. restored/replayed
+	// describe what restart recovered from.
+	ckptLastLSN  atomic.Uint64
+	ckptBusy     atomic.Bool
+	restoredCkpt *RestoredCheckpoint
+	restarted    bool
+	restartLSN   wal.LSN
+	replayed     atomic.Int64
 }
 
 // New returns an empty database.
@@ -365,9 +340,6 @@ func (db *DB) CreateTable(def *catalog.TableDef) error {
 	db.mu.Lock()
 	tbl := storage.NewTablePartitions(def, db.opts.StoragePartitions)
 	tbl.SetFaults(db.faults)
-	if db.opts.SharedReads == SharedReadsOff {
-		tbl.SetCloneReads(true)
-	}
 	if db.mvcc {
 		tbl.SetMVCC(&db.commitTS, &db.oldestSnap)
 	}

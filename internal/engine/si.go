@@ -99,8 +99,8 @@ func (s *Snap) Get(table string, key value.Tuple) (value.Tuple, error) {
 
 // Scan calls fn for every record visible at the snapshot, in unspecified
 // order, stopping early when fn returns false. The rows are shared read-only
-// tuples (copies under SharedReadsOff); fn must not mutate them, but may
-// retain them — version tuples are immutable once published.
+// tuples; fn must not mutate them, but may retain them — version tuples are
+// immutable once published.
 func (s *Snap) Scan(table string, fn func(row value.Tuple) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

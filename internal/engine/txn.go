@@ -428,8 +428,8 @@ func (t *Txn) Get(table string, key value.Tuple) (value.Tuple, error) {
 	if err := t.lockAndCheck(table, key, t.keyBuf, lock.Shared); err != nil {
 		return nil, err
 	}
-	// The returned tuple is shared read-only storage (unless the DB runs
-	// with SharedReadsOff): callers must not mutate it in place.
+	// The returned tuple is shared read-only storage: callers must not
+	// mutate it in place.
 	row, _, err := tbl.GetEnc(key, t.keyBuf)
 	if err != nil {
 		return nil, err
@@ -455,9 +455,9 @@ func (t *Txn) Commit() error {
 		t.mu.Unlock()
 		return fmt.Errorf("%w (txn %d)", ErrTxnDoomed, t.id)
 	}
-	// Stamp the commit's wall-clock time into the record (a v3 frame field):
-	// the log propagator subtracts it from its apply time to measure how far
-	// the transformation targets trail the sources.
+	// Stamp the commit's wall-clock time into the record: the log propagator
+	// subtracts it from its apply time to measure how far the transformation
+	// targets trail the sources.
 	lsn := t.db.log.Append(&wal.Record{
 		Txn: t.id, Type: wal.TypeCommit, Prev: t.lastLSN,
 		Time: time.Now().UnixNano(),
@@ -597,15 +597,16 @@ func (t *Txn) compensate(rec *wal.Record, applied bool) {
 	// snapshot readers, which walk past them to the committed versions —
 	// with contents identical to what the compensation restored.
 	w := t.writeCtx()
+	t.keyBuf = clr.Key.AppendEncode(t.keyBuf[:0])
 	switch clr.Redo {
 	case wal.TypeDelete:
-		_, _ = tbl.DeleteW(clr.Key, w)
+		_, _ = tbl.DeleteEncW(clr.Key, t.keyBuf, w)
 	case wal.TypeUpdate:
-		_, _ = tbl.UpdateW(clr.Key, clr.Cols, clr.New, lsn, w)
+		_, _ = tbl.UpdateEncW(clr.Key, t.keyBuf, clr.Cols, clr.New, lsn, w)
 	case wal.TypeInsert:
 		// The before-image is a stored tuple the delete handed back: shared,
 		// read-only, and safe to store again without a copy.
-		_ = tbl.InsertEncW(clr.Row, clr.Key.AppendEncode(nil), lsn, w)
+		_ = tbl.InsertEncW(clr.Row, t.keyBuf, lsn, w)
 	}
 }
 

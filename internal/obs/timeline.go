@@ -65,14 +65,14 @@ type Timeline struct {
 	full bool
 }
 
-// DefaultTimelineSize is the ring capacity used when none is configured.
-const DefaultTimelineSize = 8192
+// defaultTimelineEvents is the ring capacity used when none is given.
+const defaultTimelineEvents = 8192
 
 // NewTimeline returns an enabled recorder keeping the newest size events
-// (size <= 0 selects DefaultTimelineSize).
+// (size <= 0 selects 8192).
 func NewTimeline(size int) *Timeline {
 	if size <= 0 {
-		size = DefaultTimelineSize
+		size = defaultTimelineEvents
 	}
 	t := &Timeline{evs: make([]TimelineEvent, size)}
 	t.enabled.Store(true)

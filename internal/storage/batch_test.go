@@ -79,7 +79,7 @@ func TestInsertBatchEqualsSingleInserts(t *testing.T) {
 		batched.Reserve(len(ids))
 		recs := batchOf(ids...)
 		for i := range recs[:100] { // a caller that knows the keys hands them in
-			recs[i].Key = batched.KeyOfRow(recs[i].Row)
+			recs[i].Key = keyOfRow(batched, recs[i].Row)
 		}
 		if n, err := batched.InsertBatch(recs[:150], nil); n != 150 || err != nil {
 			t.Fatalf("first batch: %d, %v", n, err)
@@ -103,7 +103,7 @@ func TestInsertBatchEqualsSingleInserts(t *testing.T) {
 			}
 		}
 		if mvcc {
-			if got, _, err := batched.GetAt(key(7), 0); err != nil || !got.Equal(row(7, "d1", 7)) {
+			if got, _, err := getAt(batched, key(7), 0); err != nil || !got.Equal(row(7, "d1", 7)) {
 				t.Errorf("batched system write invisible to a snapshot: %v, %v", got, err)
 			}
 		}

@@ -186,11 +186,11 @@ func (ix *Index) reserve(n int) {
 }
 
 // LookupIndex returns the rows whose index key equals key — shared read-only
-// tuples (copies in the clone-reads ablation) — together with their primary
-// keys, in primary-key order. The index is read under its own mutex and the
-// rows under their partition latches; between the two, a concurrent writer
-// may move a row, so the result is fuzzy in exactly the way the framework's
-// fuzzy reads are (missing rows are skipped).
+// tuples — together with their primary keys, in primary-key order. The index
+// is read under its own mutex and the rows under their partition latches;
+// between the two, a concurrent writer may move a row, so the result is fuzzy
+// in exactly the way the framework's fuzzy reads are (missing rows are
+// skipped).
 func (t *Table) LookupIndex(name string, key value.Tuple) ([]value.Tuple, []string, error) {
 	ix := t.Index(name)
 	if ix == nil {
@@ -216,7 +216,7 @@ func (t *Table) LookupIndex(name string, key value.Tuple) ([]value.Tuple, []stri
 		p.mu.RLock()
 		if rec, ok := p.rows[pk]; ok {
 			pks[len(rows)] = pk
-			rows = append(rows, t.outRow(rec.Row))
+			rows = append(rows, rec.Row)
 		}
 		p.mu.RUnlock()
 	}

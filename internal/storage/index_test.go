@@ -159,28 +159,6 @@ func TestIndexOnMultipleColumns(t *testing.T) {
 	}
 }
 
-// TestLookupCloneReads pins the clone-reads ablation: with SetCloneReads a
-// lookup result is a deep copy, so even a caller that (wrongly) mutates it
-// in place cannot reach the stored row. The default shared-read mode hands
-// out the stored tuple itself; its replace-not-mutate discipline is covered
-// by TestSharedReadsCOW in table_test.go.
-func TestLookupCloneReads(t *testing.T) {
-	tbl := NewTable(testDef(t))
-	tbl.SetCloneReads(true)
-	if _, err := tbl.CreateIndex("by_dept", []int{1}, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Insert(row(1, "a", 5), 1); err != nil {
-		t.Fatal(err)
-	}
-	rows, _, _ := tbl.LookupIndex("by_dept", value.Tuple{value.Str("a")})
-	rows[0][2] = value.Int(999)
-	got, _, _ := tbl.Get(value.Tuple{value.Int(1)})
-	if got[2].AsInt() != 5 {
-		t.Error("LookupIndex with clone-reads must return clones")
-	}
-}
-
 // postingOf reads the posting stored under an index key, inline key first.
 func postingOf(tbl *Table, index string, key value.Tuple) []string {
 	ix := tbl.Index(index)
@@ -287,7 +265,7 @@ func TestLookupIndexOrderStable(t *testing.T) {
 			t.Fatalf("lookup = %d rows, keys %q, %v", len(rows), pks, err)
 		}
 		for i, r := range rows {
-			if pks[i] != tbl.KeyOfRow(r) {
+			if pks[i] != keyOfRow(tbl, r) {
 				t.Errorf("row %v returned beside key %q", r, pks[i])
 			}
 		}

@@ -300,16 +300,12 @@ func (t *Table) GC() int64 {
 	return freed
 }
 
-// GetAt returns the newest version of key visible to a snapshot at ts, or
-// ErrNotFound when the key did not exist (or was deleted) as of ts. It takes
-// no transactional locks — only the partition latch. The returned tuple is
-// shared and read-only: committed versions are never mutated, only linked.
-func (t *Table) GetAt(key value.Tuple, ts uint64) (value.Tuple, wal.LSN, error) {
-	return t.GetAtEnc(key, key.AppendEncode(nil), ts)
-}
-
-// GetAtEnc is GetAt with a caller-encoded key buffer: the lookup allocates
-// nothing. key is only used for the not-found error message.
+// GetAtEnc returns the newest version visible to a snapshot at ts of the
+// record under the caller-encoded key enc (key is only used for the not-found
+// error message), or ErrNotFound when the key did not exist (or was deleted)
+// as of ts. It takes no transactional locks — only the partition latch — and
+// allocates nothing. The returned tuple is shared and read-only: committed
+// versions are never mutated, only linked.
 func (t *Table) GetAtEnc(key value.Tuple, enc []byte, ts uint64) (value.Tuple, wal.LSN, error) {
 	t.mSnapGets.Add(1)
 	p := t.parts[t.partIndexB(enc)]
@@ -319,14 +315,14 @@ func (t *Table) GetAtEnc(key value.Tuple, enc []byte, ts uint64) (value.Tuple, w
 	if rec, ok := p.rows[string(enc)]; ok {
 		if rec.vc == nil {
 			// MVCC off: degenerate to the current image (fuzzy read).
-			return t.outRow(rec.Row), rec.LSN, nil
+			return rec.Row, rec.LSN, nil
 		}
 		head = rec.vc
 	} else {
 		head = p.dead[string(enc)]
 	}
 	if v := visibleVersion(head, ts); v != nil && v.row != nil {
-		return t.outRow(v.row), v.lsn, nil
+		return v.row, v.lsn, nil
 	}
 	return nil, 0, fmt.Errorf("%w: %s in table %s", ErrNotFound, key, t.def.Name)
 }
@@ -377,7 +373,7 @@ func (t *Table) SnapshotScanPartition(pi int, ts uint64, chunk int, fn func(rows
 			var head *version
 			if rec, ok := p.rows[k]; ok {
 				if rec.vc == nil {
-					buf = append(buf, Record{Row: t.outRow(rec.Row), LSN: rec.LSN, Key: k})
+					buf = append(buf, Record{Row: rec.Row, LSN: rec.LSN, Key: k})
 					continue
 				}
 				head = rec.vc
@@ -385,7 +381,7 @@ func (t *Table) SnapshotScanPartition(pi int, ts uint64, chunk int, fn func(rows
 				head = p.dead[k]
 			}
 			if v := visibleVersion(head, ts); v != nil && v.row != nil {
-				buf = append(buf, Record{Row: t.outRow(v.row), LSN: v.lsn, Key: k})
+				buf = append(buf, Record{Row: v.row, LSN: v.lsn, Key: k})
 			}
 		}
 		p.mu.RUnlock()

@@ -27,9 +27,27 @@ func writer(begin uint64) *WriteCtx {
 
 func key(id int64) value.Tuple { return value.Tuple{value.Int(id)} }
 
-// insertW is a transactional insert of a plain tuple.
+// insertW, updateW, deleteW and getAt spell the caller-encoded calls with a
+// plain tuple, and keyOfRow is AppendKeyOfRow as a string: conveniences only
+// tests want.
 func insertW(tbl *Table, r value.Tuple, lsn wal.LSN, w *WriteCtx) error {
 	return tbl.InsertEncW(r, tbl.AppendKeyOfRow(nil, r), lsn, w)
+}
+
+func updateW(tbl *Table, k value.Tuple, cols []int, vals value.Tuple, lsn wal.LSN, w *WriteCtx) (value.Tuple, error) {
+	return tbl.UpdateEncW(k, k.AppendEncode(nil), cols, vals, lsn, w)
+}
+
+func deleteW(tbl *Table, k value.Tuple, w *WriteCtx) (value.Tuple, error) {
+	return tbl.DeleteEncW(k, k.AppendEncode(nil), w)
+}
+
+func getAt(tbl *Table, k value.Tuple, ts uint64) (value.Tuple, wal.LSN, error) {
+	return tbl.GetAtEnc(k, k.AppendEncode(nil), ts)
+}
+
+func keyOfRow(tbl *Table, r value.Tuple) string {
+	return string(tbl.AppendKeyOfRow(nil, r))
 }
 
 func TestMVCCVisibilityAcrossCommit(t *testing.T) {
@@ -38,17 +56,17 @@ func TestMVCCVisibilityAcrossCommit(t *testing.T) {
 	if err := tbl.Insert(row(1, "eng", 100), 1); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err := tbl.GetAt(key(1), 0); err != nil || !got.Equal(row(1, "eng", 100)) {
+	if got, _, err := getAt(tbl, key(1), 0); err != nil || !got.Equal(row(1, "eng", 100)) {
 		t.Fatalf("GetAt(0) = %v, %v", got, err)
 	}
 
 	w := writer(0)
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(200)}, 2, w); err != nil {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(200)}, 2, w); err != nil {
 		t.Fatal(err)
 	}
 	// Uncommitted: every snapshot still reads the old image (the current
 	// image is already the new one).
-	if got, _, err := tbl.GetAt(key(1), 99); err != nil || !got.Equal(row(1, "eng", 100)) {
+	if got, _, err := getAt(tbl, key(1), 99); err != nil || !got.Equal(row(1, "eng", 100)) {
 		t.Fatalf("uncommitted GetAt = %v, %v", got, err)
 	}
 	if got, _, err := tbl.Get(key(1)); err != nil || !got.Equal(row(1, "eng", 200)) {
@@ -56,10 +74,10 @@ func TestMVCCVisibilityAcrossCommit(t *testing.T) {
 	}
 
 	w.Cell.Commit(5)
-	if got, _, err := tbl.GetAt(key(1), 4); err != nil || !got.Equal(row(1, "eng", 100)) {
+	if got, _, err := getAt(tbl, key(1), 4); err != nil || !got.Equal(row(1, "eng", 100)) {
 		t.Fatalf("GetAt(4) = %v, %v", got, err)
 	}
-	if got, _, err := tbl.GetAt(key(1), 5); err != nil || !got.Equal(row(1, "eng", 200)) {
+	if got, _, err := getAt(tbl, key(1), 5); err != nil || !got.Equal(row(1, "eng", 200)) {
 		t.Fatalf("GetAt(5) = %v, %v", got, err)
 	}
 }
@@ -72,16 +90,16 @@ func TestMVCCAbortedWritesInvisible(t *testing.T) {
 	// A writer updates, then its undo compensates back to the old image —
 	// both versions carry the same never-committed cell.
 	w := writer(0)
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(999)}, 2, w); err != nil {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(999)}, 2, w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(100)}, 3, w); err != nil {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(100)}, 3, w); err != nil {
 		t.Fatal(err)
 	}
 	// The cell is never stamped: snapshots at every ts walk past both
 	// versions to the committed base image.
 	for _, ts := range []uint64{0, 1, 100} {
-		if got, _, err := tbl.GetAt(key(1), ts); err != nil || !got.Equal(row(1, "eng", 100)) {
+		if got, _, err := getAt(tbl, key(1), ts); err != nil || !got.Equal(row(1, "eng", 100)) {
 			t.Fatalf("GetAt(%d) after abort = %v, %v", ts, got, err)
 		}
 	}
@@ -93,27 +111,27 @@ func TestMVCCFirstCommitterWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1 := writer(0)
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(1)}, 2, w1); err != nil {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(1)}, 2, w1); err != nil {
 		t.Fatal(err)
 	}
 	// Re-writing a key the transaction already wrote passes.
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(2)}, 3, w1); err != nil {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(2)}, 3, w1); err != nil {
 		t.Fatalf("own re-write: %v", err)
 	}
 	w1.Cell.Commit(5)
 
 	// A writer that began before w1's commit conflicts.
 	w2 := writer(0)
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(3)}, 4, w2); !errors.Is(err, ErrWriteConflict) {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(3)}, 4, w2); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("stale writer err = %v, want ErrWriteConflict", err)
 	}
-	if _, err := tbl.DeleteW(key(1), w2); !errors.Is(err, ErrWriteConflict) {
+	if _, err := deleteW(tbl, key(1), w2); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("stale delete err = %v, want ErrWriteConflict", err)
 	}
 
 	// A writer that began at or after the commit passes.
 	w3 := writer(5)
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(4)}, 5, w3); err != nil {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(4)}, 5, w3); err != nil {
 		t.Fatalf("fresh writer: %v", err)
 	}
 }
@@ -124,15 +142,15 @@ func TestMVCCDeleteTombstoneAndReinsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1 := writer(0)
-	if _, err := tbl.DeleteW(key(1), w1); err != nil {
+	if _, err := deleteW(tbl, key(1), w1); err != nil {
 		t.Fatal(err)
 	}
 	w1.Cell.Commit(3)
 
-	if got, _, err := tbl.GetAt(key(1), 2); err != nil || !got.Equal(row(1, "eng", 100)) {
+	if got, _, err := getAt(tbl, key(1), 2); err != nil || !got.Equal(row(1, "eng", 100)) {
 		t.Fatalf("pre-delete GetAt = %v, %v", got, err)
 	}
-	if _, _, err := tbl.GetAt(key(1), 3); !errors.Is(err, ErrNotFound) {
+	if _, _, err := getAt(tbl, key(1), 3); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("post-delete GetAt err = %v", err)
 	}
 
@@ -147,13 +165,13 @@ func TestMVCCDeleteTombstoneAndReinsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh.Cell.Commit(7)
-	if got, _, err := tbl.GetAt(key(1), 2); err != nil || !got.Equal(row(1, "eng", 100)) {
+	if got, _, err := getAt(tbl, key(1), 2); err != nil || !got.Equal(row(1, "eng", 100)) {
 		t.Fatalf("old life GetAt = %v, %v", got, err)
 	}
-	if _, _, err := tbl.GetAt(key(1), 6); !errors.Is(err, ErrNotFound) {
+	if _, _, err := getAt(tbl, key(1), 6); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("tombstone window GetAt err = %v", err)
 	}
-	if got, _, err := tbl.GetAt(key(1), 7); err != nil || !got.Equal(row(1, "ops", 50)) {
+	if got, _, err := getAt(tbl, key(1), 7); err != nil || !got.Equal(row(1, "ops", 50)) {
 		t.Fatalf("new life GetAt = %v, %v", got, err)
 	}
 	st := tbl.VersionStats()
@@ -169,21 +187,21 @@ func TestMVCCRekeyingUpdate(t *testing.T) {
 	}
 	w := writer(0)
 	// Change the primary key 1 → 2: old key tombstoned, new chain started.
-	if _, err := tbl.UpdateW(key(1), []int{0}, value.Tuple{value.Int(2)}, 2, w); err != nil {
+	if _, err := updateW(tbl, key(1), []int{0}, value.Tuple{value.Int(2)}, 2, w); err != nil {
 		t.Fatal(err)
 	}
 	w.Cell.Commit(4)
 
-	if got, _, err := tbl.GetAt(key(1), 3); err != nil || !got.Equal(row(1, "eng", 100)) {
+	if got, _, err := getAt(tbl, key(1), 3); err != nil || !got.Equal(row(1, "eng", 100)) {
 		t.Fatalf("old key pre-commit GetAt = %v, %v", got, err)
 	}
-	if _, _, err := tbl.GetAt(key(2), 3); !errors.Is(err, ErrNotFound) {
+	if _, _, err := getAt(tbl, key(2), 3); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("new key pre-commit err = %v", err)
 	}
-	if _, _, err := tbl.GetAt(key(1), 4); !errors.Is(err, ErrNotFound) {
+	if _, _, err := getAt(tbl, key(1), 4); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("old key post-commit err = %v", err)
 	}
-	if got, _, err := tbl.GetAt(key(2), 4); err != nil || !got.Equal(row(2, "eng", 100)) {
+	if got, _, err := getAt(tbl, key(2), 4); err != nil || !got.Equal(row(2, "eng", 100)) {
 		t.Fatalf("new key post-commit GetAt = %v, %v", got, err)
 	}
 
@@ -207,10 +225,10 @@ func TestMVCCSnapshotScanConsistentCut(t *testing.T) {
 		}
 	}
 	w := writer(0)
-	if _, err := tbl.UpdateW(key(3), []int{2}, value.Tuple{value.Int(333)}, 2, w); err != nil {
+	if _, err := updateW(tbl, key(3), []int{2}, value.Tuple{value.Int(333)}, 2, w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.DeleteW(key(4), w); err != nil {
+	if _, err := deleteW(tbl, key(4), w); err != nil {
 		t.Fatal(err)
 	}
 	if err := insertW(tbl, row(10, "new", 10), 3, w); err != nil {
@@ -259,7 +277,7 @@ func TestMVCCChainTrimAndGC(t *testing.T) {
 	// clock the table must not run ahead of).
 	for i := uint64(1); i <= 5; i++ {
 		w := writer(i - 1)
-		if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(int64(i))}, 2, w); err != nil {
+		if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(int64(i))}, 2, w); err != nil {
 			t.Fatal(err)
 		}
 		w.Cell.Commit(i)
@@ -286,7 +304,7 @@ func TestMVCCChainTrimAndGC(t *testing.T) {
 		t.Fatalf("post-GC stats = %+v", st)
 	}
 	// The surviving version is still the right image.
-	if got, _, err := tbl.GetAt(key(1), 5); err != nil || got[2].AsInt() != 5 {
+	if got, _, err := getAt(tbl, key(1), 5); err != nil || got[2].AsInt() != 5 {
 		t.Fatalf("post-GC GetAt = %v, %v", got, err)
 	}
 }
@@ -297,7 +315,7 @@ func TestMVCCGCDeadChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := writer(0)
-	if _, err := tbl.DeleteW(key(1), w); err != nil {
+	if _, err := deleteW(tbl, key(1), w); err != nil {
 		t.Fatal(err)
 	}
 	w.Cell.Commit(2)
@@ -328,7 +346,7 @@ func TestMVCCOnWriteTrim(t *testing.T) {
 	}
 	for i := uint64(1); i <= 50; i++ {
 		w := writer(i - 1)
-		if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(int64(i))}, 2, w); err != nil {
+		if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(int64(i))}, 2, w); err != nil {
 			t.Fatal(err)
 		}
 		w.Cell.Commit(i)
@@ -347,14 +365,14 @@ func TestMVCCDisabledZeroOverhead(t *testing.T) {
 	if tbl.MVCCEnabled() {
 		t.Fatal("MVCC enabled without SetMVCC")
 	}
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(1)}, 2, writer(0)); err != nil {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(1)}, 2, writer(0)); err != nil {
 		t.Fatal(err)
 	}
 	// No chains are maintained; GetAt degenerates to the current image.
 	if st := tbl.VersionStats(); st.Versions != 0 {
 		t.Fatalf("disabled table has %d versions", st.Versions)
 	}
-	if got, _, err := tbl.GetAt(key(1), 0); err != nil || got[2].AsInt() != 1 {
+	if got, _, err := getAt(tbl, key(1), 0); err != nil || got[2].AsInt() != 1 {
 		t.Fatalf("disabled GetAt = %v, %v", got, err)
 	}
 	if freed := tbl.GC(); freed != 0 {
@@ -373,7 +391,7 @@ func TestMVCCGCFloorBoundedByClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1 := writer(0)
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(1)}, 2, w1); err != nil {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(1)}, 2, w1); err != nil {
 		t.Fatal(err)
 	}
 	w1.Cell.Commit(3)
@@ -382,7 +400,7 @@ func TestMVCCGCFloorBoundedByClock(t *testing.T) {
 	// the shared clock still reads 3 (commit stamps the cell before it
 	// advances the clock; GC may interleave exactly here).
 	w2 := writer(3)
-	if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(2)}, 3, w2); err != nil {
+	if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(2)}, 3, w2); err != nil {
 		t.Fatal(err)
 	}
 	w2.Cell.Commit(4)
@@ -392,7 +410,7 @@ func TestMVCCGCFloorBoundedByClock(t *testing.T) {
 	// image a snapshot beginning "now" at clock 3 must still read.
 	oldest.Store(^uint64(0))
 	tbl.GC()
-	if got, _, err := tbl.GetAt(key(1), 3); err != nil || got[2].AsInt() != 1 {
+	if got, _, err := getAt(tbl, key(1), 3); err != nil || got[2].AsInt() != 1 {
 		t.Fatalf("GetAt(3) after clock-bounded GC = %v, %v (version needed by a snapshot at the current clock was trimmed)", got, err)
 	}
 	// Once the clock catches up, the same sweep reclaims the chain.
@@ -400,7 +418,7 @@ func TestMVCCGCFloorBoundedByClock(t *testing.T) {
 	if freed := tbl.GC(); freed == 0 {
 		t.Fatal("GC freed nothing after clock advanced")
 	}
-	if got, _, err := tbl.GetAt(key(1), 4); err != nil || got[2].AsInt() != 2 {
+	if got, _, err := getAt(tbl, key(1), 4); err != nil || got[2].AsInt() != 2 {
 		t.Fatalf("GetAt(4) after GC = %v, %v", got, err)
 	}
 }
@@ -416,7 +434,7 @@ func TestMVCCReclaimAfterDetachObs(t *testing.T) {
 	}
 	for i := uint64(1); i <= 3; i++ {
 		w := writer(i - 1)
-		if _, err := tbl.UpdateW(key(1), []int{2}, value.Tuple{value.Int(int64(i))}, 2, w); err != nil {
+		if _, err := updateW(tbl, key(1), []int{2}, value.Tuple{value.Int(int64(i))}, 2, w); err != nil {
 			t.Fatal(err)
 		}
 		w.Cell.Commit(i)

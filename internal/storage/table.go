@@ -128,11 +128,6 @@ type Table struct {
 	detachMu  sync.Mutex
 	detached  bool
 
-	// cloneReads restores clone-on-read (the pre-COW behaviour) for the
-	// SharedReads ablation: reads hand out deep copies instead of sharing
-	// the stored tuples. Set before the table is shared.
-	cloneReads bool
-
 	parts []*partition
 	mask  uint32
 
@@ -231,18 +226,6 @@ func (t *Table) partIndexB(enc []byte) int {
 // partOf routes an encoded primary key to its partition.
 func (t *Table) partOf(enc string) *partition { return t.parts[t.partIndex(enc)] }
 
-// PartitionLens returns the number of rows per partition (for stats and
-// tests).
-func (t *Table) PartitionLens() []int {
-	out := make([]int, len(t.parts))
-	for i, p := range t.parts {
-		p.mu.RLock()
-		out[i] = len(p.rows)
-		p.mu.RUnlock()
-	}
-	return out
-}
-
 // SetFaults installs a fault registry. Insert, Update and Delete hit both a
 // generic point ("storage.insert", ...) and a table-qualified one
 // ("storage.insert.<table>"), so a test can target writes to one table —
@@ -307,32 +290,10 @@ func (t *Table) Len() int {
 	return n
 }
 
-// EncodeKey encodes a primary-key tuple the way this table keys its rows.
-func (t *Table) EncodeKey(key value.Tuple) string { return key.Encode() }
-
-// KeyOfRow extracts and encodes the primary key of a full row.
-func (t *Table) KeyOfRow(row value.Tuple) string { return t.def.KeyOf(row).Encode() }
-
-// AppendKeyOfRow appends the encoded primary key of a full row to b —
-// KeyOfRow without materializing the projected tuple or the string.
+// AppendKeyOfRow appends the encoded primary key of a full row to b, without
+// materializing the projected tuple or a string.
 func (t *Table) AppendKeyOfRow(b []byte, row value.Tuple) []byte {
 	return row.AppendEncodeProject(b, t.def.PrimaryKey)
-}
-
-// SetCloneReads restores clone-on-read for this table: Get, GetAt, index
-// lookups and the chunked scans return deep copies instead of sharing stored
-// tuples. This is the ablation arm of the copy-on-write read path; the
-// default (off) shares tuples, which is safe because writers replace whole
-// tuples and never mutate one in place. Call before the table is shared.
-func (t *Table) SetCloneReads(on bool) { t.cloneReads = on }
-
-// outRow prepares a stored row for handing to a reader: shared in COW mode,
-// deep-copied in the clone-reads ablation.
-func (t *Table) outRow(row value.Tuple) value.Tuple {
-	if t.cloneReads {
-		return row.Clone()
-	}
-	return row
 }
 
 // Insert stores a new row version with the given LSN. The row is cloned.
@@ -506,18 +467,10 @@ func grownMap[V any](m map[string]V, n int) map[string]V {
 }
 
 // Get returns the record stored under key, or ErrNotFound. The returned
-// tuple is shared and read-only (a copy in the clone-reads ablation).
+// tuple is shared and read-only: writers replace whole tuples and never
+// mutate one in place, so a reader may retain it but must not modify it.
 func (t *Table) Get(key value.Tuple) (value.Tuple, wal.LSN, error) {
-	t.mGets.Add(1)
-	enc := key.Encode()
-	p := t.partOf(enc)
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	rec, ok := p.rows[enc]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s in table %s", ErrNotFound, key, t.def.Name)
-	}
-	return t.outRow(rec.Row), rec.LSN, nil
+	return t.GetEnc(key, key.AppendEncode(nil))
 }
 
 // GetEnc is Get with a caller-encoded key buffer: the lookup allocates
@@ -531,7 +484,7 @@ func (t *Table) GetEnc(key value.Tuple, enc []byte) (value.Tuple, wal.LSN, error
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s in table %s", ErrNotFound, key, t.def.Name)
 	}
-	return t.outRow(rec.Row), rec.LSN, nil
+	return rec.Row, rec.LSN, nil
 }
 
 // HasEnc reports whether a record exists under the caller-encoded key,
@@ -545,32 +498,26 @@ func (t *Table) HasEnc(enc []byte) bool {
 	return ok
 }
 
-// Update overwrites the values of the given column positions and sets the
-// record LSN. It returns the updated full row. If the primary key changes,
-// the record is re-keyed, which may move it to another partition; both
-// partitions are then latched in ascending order. In MVCC mode the write is
-// a system write, visible to every snapshot.
+// Update is UpdateEncW as a system write (visible to every snapshot in MVCC
+// mode) that encodes key itself.
 func (t *Table) Update(key value.Tuple, cols []int, vals value.Tuple, lsn wal.LSN) (value.Tuple, error) {
-	return t.UpdateW(key, cols, vals, lsn, nil)
+	return t.UpdateEncW(key, key.AppendEncode(nil), cols, vals, lsn, nil)
 }
 
-// UpdateW is Update carrying the writing transaction's MVCC identity: the
-// old image stays reachable on the version chain, and the write is checked
+// UpdateEncW overwrites the values of the given column positions of the
+// record under the caller-encoded primary key enc (not retained; key is only
+// used for error messages), sets the record LSN and returns the updated full
+// row, shared and read-only. If the primary key changes, the record is
+// re-keyed, which may move it to another partition; both partitions are then
+// latched in ascending order.
+//
+// w carries the writing transaction's MVCC identity: the old image stays
+// reachable on the version chain, and the write is checked
 // first-committer-wins against the chain's newest committed version. A
 // re-keying update tombstones the old key (snapshots keep finding the
 // pre-move image there) and starts the new key's chain, linked to any
 // tombstoned prior life of that key. A nil w marks a system write.
-func (t *Table) UpdateW(key value.Tuple, cols []int, vals value.Tuple, lsn wal.LSN, w *WriteCtx) (value.Tuple, error) {
-	return t.updateEnc(key, key.AppendEncode(nil), cols, vals, lsn, w)
-}
-
-// UpdateEncW is UpdateW with a caller-encoded primary key buffer; enc is not
-// retained. The returned tuple is shared and read-only.
 func (t *Table) UpdateEncW(key value.Tuple, enc []byte, cols []int, vals value.Tuple, lsn wal.LSN, w *WriteCtx) (value.Tuple, error) {
-	return t.updateEnc(key, enc, cols, vals, lsn, w)
-}
-
-func (t *Table) updateEnc(key value.Tuple, enc []byte, cols []int, vals value.Tuple, lsn wal.LSN, w *WriteCtx) (value.Tuple, error) {
 	if err := t.faultHit("update"); err != nil {
 		return nil, err
 	}
@@ -682,7 +629,7 @@ func (t *Table) updateEnc(key value.Tuple, enc []byte, cols []int, vals value.Tu
 			if ixErr != nil {
 				return nil, ixErr
 			}
-			return t.outRow(newRow), nil
+			return newRow, nil
 		}
 		// Same-partition path (covers the common no-re-key case).
 		sameKey := string(newEnc) == rec.Key
@@ -745,7 +692,7 @@ func (t *Table) updateEnc(key value.Tuple, enc []byte, cols []int, vals value.Tu
 		if ixErr != nil {
 			return nil, ixErr
 		}
-		return t.outRow(newRow), nil
+		return newRow, nil
 	}
 }
 
@@ -771,28 +718,19 @@ func (t *Table) SetLSN(key value.Tuple, lsn wal.LSN) error {
 	return nil
 }
 
-// Delete removes the record stored under key and returns its last row image.
-// In MVCC mode the write is a system write, visible to every snapshot.
+// Delete is DeleteEncW as a system write that encodes key itself.
 func (t *Table) Delete(key value.Tuple) (value.Tuple, error) {
-	return t.DeleteW(key, nil)
+	return t.DeleteEncW(key, key.AppendEncode(nil), nil)
 }
 
-// DeleteW is Delete carrying the writing transaction's MVCC identity: the
+// DeleteEncW removes the record stored under the caller-encoded primary key
+// enc (not retained; key is only used for error messages) and returns its
+// last row image. w carries the writing transaction's MVCC identity: the
 // record's chain moves to the partition's dead map under a tombstone, so
 // snapshot readers still reach the older versions; the delete is checked
 // first-committer-wins against the chain's newest committed version. A nil w
 // marks a system write.
-func (t *Table) DeleteW(key value.Tuple, w *WriteCtx) (value.Tuple, error) {
-	return t.deleteEnc(key, key.AppendEncode(nil), w)
-}
-
-// DeleteEncW is DeleteW with a caller-encoded primary key buffer; enc is not
-// retained.
 func (t *Table) DeleteEncW(key value.Tuple, enc []byte, w *WriteCtx) (value.Tuple, error) {
-	return t.deleteEnc(key, enc, w)
-}
-
-func (t *Table) deleteEnc(key value.Tuple, enc []byte, w *WriteCtx) (value.Tuple, error) {
 	if err := t.faultHit("delete"); err != nil {
 		return nil, err
 	}
@@ -843,29 +781,6 @@ func (t *Table) Scan(fn func(row value.Tuple, lsn wal.LSN) bool) {
 	}
 }
 
-// FuzzyScan reads the table without transactional locks, in chunks, so that
-// concurrent updates can land between chunks: the result may mix record
-// versions from before and during the scan, exactly the fuzziness the
-// framework's log propagation repairs. chunk <= 0 selects a default.
-func (t *Table) FuzzyScan(chunk int, fn func(row value.Tuple, lsn wal.LSN)) {
-	for pi := range t.parts {
-		t.FuzzyScanPartition(pi, chunk, func(rows []Record) {
-			for _, rec := range rows {
-				fn(rec.Row, rec.LSN)
-			}
-		})
-	}
-}
-
-// FuzzyScanChunks is FuzzyScan's batch form: each chunk of rows is copied
-// out under the partition latch and delivered to fn with no latch held, so
-// fn may block (e.g. a priority-throttle sleep) without stalling writers.
-func (t *Table) FuzzyScanChunks(chunk int, fn func(rows []Record)) {
-	for pi := range t.parts {
-		t.FuzzyScanPartition(pi, chunk, fn)
-	}
-}
-
 // Scan-buffer pools. The chunked scans list a partition's keys and copy
 // record headers out in chunks; both buffers are reused across scans rather
 // than allocated per partition. Pooled as pointers so Put does not box the
@@ -888,12 +803,17 @@ func putScanRecs(rp *[]Record, buf []Record) {
 	scanRecsPool.Put(rp)
 }
 
-// FuzzyScanPartition fuzzy-scans a single heap partition in chunks.
-// Different partitions can be scanned concurrently from different
-// goroutines — that is how parallel initial population divides its work.
-// The chunk slice is reused across chunks and returned to a pool when the
-// scan ends: fn may retain the Record values (rows are shared, read-only
-// tuples) but must not retain the slice itself.
+// FuzzyScanPartition reads one heap partition without transactional locks,
+// in chunks: each chunk is copied out under the partition latch and delivered
+// to fn with no latch held, so fn may block (a priority-throttle sleep)
+// without stalling writers, and concurrent updates land between chunks. The
+// result may therefore mix record versions from before and during the scan,
+// exactly the fuzziness the framework's log propagation repairs. Different
+// partitions can be scanned concurrently from different goroutines — that is
+// how parallel initial population divides its work. chunk <= 0 selects a
+// default. The chunk slice is reused across chunks and returned to a pool
+// when the scan ends: fn may retain the Record values (rows are shared,
+// read-only tuples) but must not retain the slice itself.
 func (t *Table) FuzzyScanPartition(pi int, chunk int, fn func(rows []Record)) {
 	if chunk <= 0 {
 		chunk = 256
@@ -919,7 +839,7 @@ func (t *Table) FuzzyScanPartition(pi int, chunk int, fn func(rows []Record)) {
 		p.mu.RLock()
 		for _, k := range keys[start:end] {
 			if rec, ok := p.rows[k]; ok {
-				buf = append(buf, Record{Row: t.outRow(rec.Row), LSN: rec.LSN, Key: k})
+				buf = append(buf, Record{Row: rec.Row, LSN: rec.LSN, Key: k})
 			}
 		}
 		p.mu.RUnlock()

@@ -2,6 +2,9 @@ package storage
 
 import (
 	"errors"
+	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,6 +182,17 @@ func TestScan(t *testing.T) {
 	}
 }
 
+// fuzzyScan fuzzy-scans every partition in turn, row by row.
+func fuzzyScan(tbl *Table, chunk int, fn func(row value.Tuple, lsn wal.LSN)) {
+	for pi := 0; pi < tbl.Partitions(); pi++ {
+		tbl.FuzzyScanPartition(pi, chunk, func(recs []Record) {
+			for _, rec := range recs {
+				fn(rec.Row, rec.LSN)
+			}
+		})
+	}
+}
+
 func TestFuzzyScanSeesAllQuiescent(t *testing.T) {
 	tbl := NewTable(testDef(t))
 	for i := int64(1); i <= 100; i++ {
@@ -187,7 +201,7 @@ func TestFuzzyScanSeesAllQuiescent(t *testing.T) {
 		}
 	}
 	seen := make(map[int64]bool)
-	tbl.FuzzyScan(16, func(row value.Tuple, _ wal.LSN) {
+	fuzzyScan(tbl, 16, func(row value.Tuple, _ wal.LSN) {
 		seen[row[0].AsInt()] = true
 	})
 	if len(seen) != 100 {
@@ -222,7 +236,7 @@ func TestFuzzyScanUnderConcurrentWrites(t *testing.T) {
 		}
 	}()
 	var count int
-	tbl.FuzzyScan(64, func(row value.Tuple, _ wal.LSN) { count++ })
+	fuzzyScan(tbl, 64, func(row value.Tuple, _ wal.LSN) { count++ })
 	close(stop)
 	wg.Wait()
 	if count != n {
@@ -248,8 +262,8 @@ func TestRowsDeepCopy(t *testing.T) {
 func TestEncodeKeyHelpers(t *testing.T) {
 	tbl := NewTable(testDef(t))
 	r := row(7, "a", 1)
-	if tbl.KeyOfRow(r) != tbl.EncodeKey(value.Tuple{value.Int(7)}) {
-		t.Error("KeyOfRow and EncodeKey disagree")
+	if keyOfRow(tbl, r) != key(7).Encode() {
+		t.Error("AppendKeyOfRow and the key tuple's encoding disagree")
 	}
 }
 
@@ -287,10 +301,11 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestSharedReadsCOW is the copy-on-write property test for the default
-// shared-read mode: concurrent writers keep replacing rows through the table
-// API while readers — point gets, index lookups, fuzzy partition scans —
-// check an invariant on every tuple they are handed and retain tuples past
+// TestSharedReadsCOW is the copy-on-write property test for the table's one
+// row discipline, shared read-only tuples: concurrent writers keep replacing
+// rows through the table API while readers — point gets, index lookups,
+// fuzzy partition scans — check an invariant on every tuple they are handed
+// and retain tuples past
 // the call. Writers must publish fresh tuples, never mutate a published one
 // in place, so every observed tuple (including retained ones, re-checked
 // after all writes finished) is internally consistent, and the race detector
@@ -437,4 +452,34 @@ func TestSharedReadsCOW(t *testing.T) {
 		}(int64(r + 1))
 	}
 	wg.Wait()
+}
+
+// TestTableMethodSet pins *Table's exported surface. Every data operation has
+// exactly two spellings — the caller-encoded one the engine drives, and a
+// plain-tuple system write that encodes and delegates — so a new method here
+// is a deliberate act: add it to the list with the tier it belongs to, or
+// put the convenience in a test helper instead.
+func TestTableMethodSet(t *testing.T) {
+	want := []string{
+		// Caller-encoded tier: the engine's transactional path and bulk loads.
+		"GetEnc", "HasEnc", "GetAtEnc", "InsertEncW", "InsertBatch", "UpdateEncW", "DeleteEncW",
+		"FuzzyScanPartition", "SnapshotScanPartition",
+		// Plain-tuple system writes: propagation rules and recovery.
+		"Get", "Insert", "Update", "Delete", "SetLSN",
+		// Indexes.
+		"CreateIndex", "Index", "IndexCount", "LookupIndex", "CheckUniqueEnc",
+		// Shape, whole-table reads and keys.
+		"Def", "Len", "Partitions", "Reserve", "Rows", "Scan", "AppendKeyOfRow",
+		// Wiring and MVCC bookkeeping.
+		"SetFaults", "SetObs", "DetachObs", "SetMVCC", "MVCCEnabled", "GC", "VersionStats",
+	}
+	sort.Strings(want)
+	typ := reflect.TypeOf(&Table{})
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("*Table exports %d methods, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
+	}
 }

@@ -13,28 +13,20 @@ import (
 	"nbschema/internal/value"
 )
 
-// Binary log format, per record (version 3):
+// Binary log format, per record:
 //
 //	magic   uint16  (0x4C59, "WY")
 //	length  uint32  (payload bytes, excluding header and trailer)
 //	payload ...     (fields in fixed order, varint-framed)
 //	crc32   uint32  (IEEE, over header AND payload)
 //
-// Version 3 appends a commit wall-clock timestamp (unix nanoseconds, uvarint)
-// after the Meta field; it is the frame emitted by writers. Version 2 frames
-// (magic 0x4C58, "WX") are identical minus the timestamp — readers decode
-// Time as zero. Version 1 frames (magic 0x4C57, "WL") are still decoded too:
-// their CRC covers the payload only — leaving the length field unprotected —
-// and their payload ends after the active-transaction list (no
-// Mark/Marks/Meta/Time fields). The format is self-delimiting so a log file
-// can be replayed sequentially at restart, and the magic doubles as the
-// version tag.
+// The format is self-delimiting so a log file can be replayed sequentially at
+// restart. The magic doubles as the version tag: this is the third frame
+// layout, the only one read or written (the first two, 0x4C57 and 0x4C58,
+// lacked the checkpoint fields and the commit timestamp and are rejected
+// like any unknown magic).
 
-const (
-	recordMagicV1 = 0x4C57
-	recordMagicV2 = 0x4C58
-	recordMagicV3 = 0x4C59
-)
+const recordMagic = 0x4C59
 
 type encoder struct {
 	buf []byte
@@ -130,10 +122,10 @@ func AppendMarshal(buf []byte, r *Record) []byte {
 	e.uvarint(uint64(r.Time))
 
 	buf = e.buf
-	binary.BigEndian.PutUint16(buf[start:], recordMagicV3)
+	binary.BigEndian.PutUint16(buf[start:], recordMagic)
 	binary.BigEndian.PutUint32(buf[start+2:], uint32(len(buf)-start-6))
-	// Versions 2+: the CRC covers the frame header too, so a corrupted length
-	// field is caught instead of desynchronizing the reader.
+	// The CRC covers the frame header too, so a corrupted length field is
+	// caught instead of desynchronizing the reader.
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
@@ -330,11 +322,7 @@ func newScratch() *scratch {
 // the frame header/trailer) into r. With a nil scratch every field is
 // freshly allocated and r is safe to retain; with a scratch, tuple fields
 // alias the scratch buffers and r is only valid until the next decode.
-// ver selects the payload layout: a version-1 payload ends after the
-// active-transaction list, version 2 adds the Mark/Marks/Meta trailer, and
-// version 3 appends the commit timestamp. Fields absent from older versions
-// decode as zero.
-func decodePayload(payload []byte, r *Record, s *scratch, ver int) error {
+func decodePayload(payload []byte, r *Record, s *scratch) error {
 	d := decoder{buf: payload}
 	r.LSN = LSN(d.uvarint())
 	r.Prev = LSN(d.uvarint())
@@ -375,47 +363,43 @@ func decodePayload(payload []byte, r *Record, s *scratch, ver int) error {
 		}
 		r.Active = buf
 	}
-	r.Mark, r.Marks, r.Meta, r.Time = 0, nil, nil, 0
-	if ver >= 2 {
-		r.Mark = LSN(d.uvarint())
-		if n := d.uvarint(); n > 0 && d.err == nil {
-			buf := r.Marks
-			if s != nil {
-				if uint64(cap(s.marks)) < n {
-					s.marks = make([]TableMark, 0, n)
-				}
-				buf = s.marks[:0]
+	r.Marks, r.Meta = nil, nil
+	r.Mark = LSN(d.uvarint())
+	if n := d.uvarint(); n > 0 && d.err == nil {
+		buf := r.Marks
+		if s != nil {
+			if uint64(cap(s.marks)) < n {
+				s.marks = make([]TableMark, 0, n)
 			}
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				var m TableMark
-				if s != nil {
-					m.Table = d.strInterned(s.tables)
-				} else {
-					m.Table = d.str()
-				}
-				m.Low = LSN(d.uvarint())
-				buf = append(buf, m)
-			}
-			if s != nil {
-				s.marks = buf
-			}
-			r.Marks = buf
+			buf = s.marks[:0]
 		}
-		if n := d.uvarint(); n > 0 && d.err == nil {
-			b := d.bytes(n)
-			if d.err == nil {
-				if s != nil {
-					s.meta = append(s.meta[:0], b...)
-					r.Meta = s.meta
-				} else {
-					r.Meta = append([]byte(nil), b...)
-				}
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			var m TableMark
+			if s != nil {
+				m.Table = d.strInterned(s.tables)
+			} else {
+				m.Table = d.str()
+			}
+			m.Low = LSN(d.uvarint())
+			buf = append(buf, m)
+		}
+		if s != nil {
+			s.marks = buf
+		}
+		r.Marks = buf
+	}
+	if n := d.uvarint(); n > 0 && d.err == nil {
+		b := d.bytes(n)
+		if d.err == nil {
+			if s != nil {
+				s.meta = append(s.meta[:0], b...)
+				r.Meta = s.meta
+			} else {
+				r.Meta = append([]byte(nil), b...)
 			}
 		}
 	}
-	if ver >= 3 {
-		r.Time = int64(d.uvarint())
-	}
+	r.Time = int64(d.uvarint())
 	if d.err != nil {
 		return d.err
 	}
@@ -425,52 +409,27 @@ func decodePayload(payload []byte, r *Record, s *scratch, ver int) error {
 	return nil
 }
 
-// unmarshalPayload decodes one payload into a fresh record.
-func unmarshalPayload(payload []byte, ver int) (*Record, error) {
-	r := &Record{}
-	if err := decodePayload(payload, r, nil, ver); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// frameVersion maps a frame magic to its format version (0 = unknown).
-func frameVersion(magic uint16) int {
-	switch magic {
-	case recordMagicV1:
-		return 1
-	case recordMagicV2:
-		return 2
-	case recordMagicV3:
-		return 3
-	}
-	return 0
-}
-
-// Unmarshal decodes one framed record produced by Marshal, any frame
-// version.
+// Unmarshal decodes one framed record produced by Marshal.
 func Unmarshal(b []byte) (*Record, error) {
 	if len(b) < 10 {
 		return nil, fmt.Errorf("wal: frame too short (%d bytes)", len(b))
 	}
-	ver := frameVersion(binary.BigEndian.Uint16(b))
-	if ver == 0 {
-		return nil, fmt.Errorf("wal: bad magic %#x", binary.BigEndian.Uint16(b))
+	if magic := binary.BigEndian.Uint16(b); magic != recordMagic {
+		return nil, fmt.Errorf("wal: bad magic %#x", magic)
 	}
 	n := binary.BigEndian.Uint32(b[2:])
 	if uint32(len(b)) != n+10 {
 		return nil, fmt.Errorf("wal: frame length mismatch: header %d, got %d", n, len(b)-10)
 	}
-	payload := b[6 : 6+n]
 	want := binary.BigEndian.Uint32(b[6+n:])
-	covered := payload
-	if ver >= 2 {
-		covered = b[:6+n]
-	}
-	if got := crc32.ChecksumIEEE(covered); got != want {
+	if got := crc32.ChecksumIEEE(b[:6+n]); got != want {
 		return nil, fmt.Errorf("wal: crc mismatch: %#x != %#x", got, want)
 	}
-	return unmarshalPayload(payload, ver)
+	r := &Record{}
+	if err := decodePayload(b[6:6+n], r, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // WriteTo serializes the whole log to w in replay order. The fault point

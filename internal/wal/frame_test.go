@@ -4,87 +4,44 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"strings"
 	"testing"
+	"time"
 
 	"nbschema/internal/fault"
-	"nbschema/internal/value"
 )
 
-// marshalV1 encodes a record as a version-1 frame: magic 0x4C57, CRC over
-// the payload only, and no Mark/Marks/Meta fields — the format written
-// before checkpoints existed. Kept in tests only, to prove old logs decode.
-func marshalV1(r *Record) []byte {
-	var e encoder
-	e.uvarint(uint64(r.LSN))
-	e.uvarint(uint64(r.Prev))
-	e.uvarint(uint64(r.Txn))
-	e.buf = append(e.buf, byte(r.Type))
-	e.str(r.Table)
-	e.tuple(r.Key)
-	e.tuple(r.Row)
-	e.ints(r.Cols)
-	e.tuple(r.Old)
-	e.tuple(r.New)
-	e.buf = append(e.buf, byte(r.Redo))
-	e.uvarint(uint64(r.UndoNext))
-	e.uvarint(uint64(len(r.Active)))
-	for _, a := range r.Active {
-		e.uvarint(uint64(a.ID))
-		e.uvarint(uint64(a.First))
-	}
-	payload := e.buf
-	out := make([]byte, 0, len(payload)+10)
-	out = binary.BigEndian.AppendUint16(out, recordMagicV1)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-}
+// TestRetiredFrameMagicIsRejectedWithOffset: the magic is the version tag and
+// only one version is read, so a frame carrying a retired magic (0x4C57,
+// 0x4C58) is in-place corruption like any other unknown magic — reported at
+// the byte offset of that frame in strict mode, cut there in lenient mode.
+func TestRetiredFrameMagicIsRejectedWithOffset(t *testing.T) {
+	for _, magic := range []uint16{0x4C57, 0x4C58, 0xFFFF} {
+		var buf bytes.Buffer
+		buf.Write(Marshal(&Record{LSN: 1, Txn: 1, Type: TypeBegin}))
+		buf.Write(Marshal(&Record{LSN: 2, Txn: 1, Prev: 1, Type: TypeCommit}))
+		at := buf.Len()
+		bad := Marshal(&Record{LSN: 3, Txn: 2, Type: TypeBegin})
+		binary.BigEndian.PutUint16(bad, magic)
+		buf.Write(bad)
 
-func TestLegacyV1FramesStillDecode(t *testing.T) {
-	recs := []*Record{
-		{LSN: 1, Txn: 1, Type: TypeBegin},
-		{LSN: 2, Txn: 1, Type: TypeInsert, Table: "t",
-			Key: value.Tuple{value.Int(1)},
-			Row: value.Tuple{value.Int(1), value.Str("a")}},
-		{LSN: 3, Txn: 1, Prev: 2, Type: TypeCommit},
-	}
-	var buf bytes.Buffer
-	for _, r := range recs {
-		buf.Write(marshalV1(r))
-	}
-	log, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatalf("ReadLog(v1 frames): %v", err)
-	}
-	if log.Len() != len(recs) {
-		t.Fatalf("decoded %d records, want %d", log.Len(), len(recs))
-	}
-	got, err := log.Get(2)
-	if err != nil || got.Type != TypeInsert || got.Table != "t" || len(got.Row) != 2 {
-		t.Errorf("v1 insert decoded as %+v (%v)", got, err)
-	}
-	if got.Mark != 0 || got.Marks != nil || got.Meta != nil {
-		t.Errorf("v1 frame grew checkpoint fields: %+v", got)
-	}
-}
-
-func TestMixedV1V2StreamDecodes(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(marshalV1(&Record{LSN: 1, Txn: 1, Type: TypeBegin}))
-	buf.Write(Marshal(&Record{
-		LSN: 2, Type: TypeCheckpointEnd, Mark: 1,
-		Marks: []TableMark{{Table: "t", Low: 1}},
-		Meta:  []byte(`{"k":"v"}`),
-	}))
-	log, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatalf("ReadLog(mixed): %v", err)
-	}
-	got, err := log.Get(2)
-	if err != nil || got.Mark != 1 || len(got.Marks) != 1 ||
-		got.Marks[0].Table != "t" || string(got.Meta) != `{"k":"v"}` {
-		t.Errorf("v2 fields lost: %+v (%v)", got, err)
+		_, err := ReadLog(bytes.NewReader(buf.Bytes()))
+		var ce *CorruptionError
+		if !errors.As(err, &ce) {
+			t.Fatalf("magic %#x: strict read err = %v, want CorruptionError", magic, err)
+		}
+		if ce.Offset != int64(at) || ce.Record != 3 || ce.Torn() || !strings.Contains(ce.Error(), "bad magic") {
+			t.Errorf("magic %#x: corruption = %v (offset %d, record %d, torn %v), want bad magic at offset %d, record 3",
+				magic, ce, ce.Offset, ce.Record, ce.Torn(), at)
+		}
+		log, cut, err := ReadLogLenient(bytes.NewReader(buf.Bytes()))
+		if err != nil || cut == nil || cut.Offset != int64(at) || log.Len() != 2 {
+			t.Errorf("magic %#x: lenient read kept %d records, cut %+v, err %v; want 2 records cut at %d",
+				magic, log.Len(), cut, err, at)
+		}
+		if _, err := Unmarshal(bad); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("magic %#x: Unmarshal err = %v", magic, err)
+		}
 	}
 }
 
@@ -105,15 +62,59 @@ func TestV2RoundTripCheckpointFields(t *testing.T) {
 	}
 }
 
-func TestV1CorruptLengthFieldIsBounded(t *testing.T) {
-	// The v1 CRC does not protect the length field; a flipped length must
-	// still surface as corruption (CRC mismatch or truncated frame), never
-	// as silent misdecoding.
-	frame := marshalV1(&Record{LSN: 1, Txn: 1, Type: TypeBegin})
-	frame[3] ^= 0x01 // low byte of the length field
-	_, cut, err := ReadLogWith(bytes.NewReader(frame), nil)
-	if err == nil && cut == nil {
-		t.Fatal("flipped v1 length decoded cleanly")
+func TestCorruptLengthFieldIsBounded(t *testing.T) {
+	// The CRC covers the frame header, so a flipped length field surfaces as
+	// corruption at that frame (CRC mismatch or truncated frame), never as
+	// silent misdecoding or a desynchronized reader.
+	for _, bit := range []byte{0x01, 0x80} {
+		frame := Marshal(&Record{LSN: 1, Txn: 1, Type: TypeBegin})
+		frame[5] ^= bit // low byte of the length field
+		log, cut, err := ReadLogLenient(bytes.NewReader(frame))
+		if err != nil || cut == nil || cut.Offset != 0 || log.Len() != 0 {
+			t.Errorf("length ^ %#x: kept %d records, cut %+v, err %v; want corruption at offset 0", bit, log.Len(), cut, err)
+		}
+	}
+}
+
+func TestV3RoundTripCommitTime(t *testing.T) {
+	now := time.Now().UnixNano()
+	in := &Record{LSN: 7, Txn: 3, Prev: 6, Type: TypeCommit, Time: now}
+	out, err := Unmarshal(Marshal(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Time != now {
+		t.Errorf("Time round trip = %d, want %d", out.Time, now)
+	}
+}
+
+// TestV3TornTailLenientTruncation cuts a frame mid-timestamp: the lenient
+// reader must keep every whole record and report the torn tail at the exact
+// byte offset.
+func TestV3TornTailLenientTruncation(t *testing.T) {
+	now := time.Now().UnixNano()
+	var whole bytes.Buffer
+	whole.Write(Marshal(&Record{LSN: 1, Txn: 1, Type: TypeBegin, Time: now}))
+	whole.Write(Marshal(&Record{LSN: 2, Txn: 1, Prev: 1, Type: TypeCommit, Time: now}))
+	cutAt := whole.Len()
+	whole.Write(Marshal(&Record{LSN: 3, Txn: 2, Type: TypeBegin, Time: now}))
+
+	torn := whole.Bytes()[:whole.Len()-3] // ends inside the last frame
+	log, cut, err := ReadLogLenient(bytes.NewReader(torn))
+	if err != nil {
+		t.Fatalf("lenient read: %v", err)
+	}
+	if cut == nil || !cut.Torn() {
+		t.Fatalf("cut = %+v, want torn tail", cut)
+	}
+	if cut.Offset != int64(cutAt) {
+		t.Errorf("cut offset %d, want %d", cut.Offset, cutAt)
+	}
+	if log.Len() != 2 {
+		t.Errorf("kept %d records, want 2", log.Len())
+	}
+	if got, _ := log.Get(2); got.Time != now {
+		t.Errorf("surviving record lost Time: %d", got.Time)
 	}
 }
 

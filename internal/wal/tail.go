@@ -104,9 +104,8 @@ func (t *Tail) Next() (*Record, error) {
 		t.done = true
 		return nil, fmt.Errorf("wal: reading frame header: %w", err)
 	}
-	ver := frameVersion(binary.BigEndian.Uint16(header[:]))
-	if ver == 0 {
-		return corrupt(fmt.Errorf("bad magic %#x", binary.BigEndian.Uint16(header[:])))
+	if magic := binary.BigEndian.Uint16(header[:]); magic != recordMagic {
+		return corrupt(fmt.Errorf("bad magic %#x", magic))
 	}
 	length := binary.BigEndian.Uint32(header[2:])
 	need := int(length) + 4
@@ -123,12 +122,8 @@ func (t *Tail) Next() (*Record, error) {
 	}
 	payload := body[:length]
 	want := binary.BigEndian.Uint32(body[length:])
-	got := crc32.ChecksumIEEE(payload)
-	if ver >= 2 {
-		// Versions 2+ cover the frame header too.
-		got = crc32.ChecksumIEEE(header[:])
-		got = crc32.Update(got, crc32.IEEETable, payload)
-	}
+	// The CRC covers the frame header too.
+	got := crc32.Update(crc32.ChecksumIEEE(header[:]), crc32.IEEETable, payload)
 	if got != want {
 		return corrupt(fmt.Errorf("crc mismatch: %#x != %#x", got, want))
 	}
@@ -137,7 +132,7 @@ func (t *Tail) Next() (*Record, error) {
 	if t.own {
 		rec, s = &Record{}, nil
 	}
-	if err := decodePayload(payload, rec, s, ver); err != nil {
+	if err := decodePayload(payload, rec, s); err != nil {
 		return corrupt(err)
 	}
 	t.last = t.offset

@@ -182,9 +182,7 @@ type Record struct {
 	// Checkpoint and transformation-lifecycle payload. For
 	// TypeCheckpointEnd, Mark is the begin record's LSN and Marks the
 	// per-table redo low-water marks. Transformation records use Mark as
-	// their cursor/switchover LSN and Meta as an opaque spec payload. These
-	// fields are only present in version-2 frames; version-1 logs decode
-	// them as zero.
+	// their cursor/switchover LSN and Meta as an opaque spec payload.
 	Mark  LSN
 	Marks []TableMark
 	Meta  []byte
@@ -192,8 +190,7 @@ type Record struct {
 	// Time is the record's wall-clock timestamp in unix nanoseconds, stamped
 	// on commit records when the transaction commits (0 = unstamped). The
 	// propagation apply path subtracts it from the apply time to measure
-	// source-commit→target-apply lag. Only present in version-3 frames;
-	// version-1/2 logs decode it as zero.
+	// source-commit→target-apply lag.
 	Time int64
 }
 

@@ -117,12 +117,12 @@ type Counters struct {
 
 // Stats summarizes a measurement window.
 type Stats struct {
-	Txns      uint64
-	Aborts    uint64
-	Deadlocks uint64
-	Timeouts  uint64
-	Conflicts uint64
-	Duration  time.Duration
+	Txns       uint64
+	Aborts     uint64
+	Deadlocks  uint64
+	Timeouts   uint64
+	Conflicts  uint64
+	Duration   time.Duration
 	Throughput float64       // committed transactions per second
 	MeanRT     time.Duration // mean response time of committed transactions
 	// Response-time percentiles of committed transactions over the window

@@ -125,22 +125,12 @@ type Options struct {
 	// serially. TransformOptions.PropagateWorkers overrides it per
 	// transformation.
 	PropagateWorkers int
-	// CompactPropagation sets the database-wide default for net-effect log
-	// compaction during propagation: each propagation interval is coalesced
-	// to its per-key net effect before the rules replay it. The zero value
-	// (CompactionDefault) enables it; CompactionOff replays the raw log —
-	// the ablation baseline. TransformOptions.CompactPropagation overrides
-	// it per transformation.
-	CompactPropagation CompactionMode
 	// CheckpointEvery takes an automatic fuzzy checkpoint whenever this many
-	// WAL records have been appended since the last one (0 disables the
-	// record trigger). Checkpoints bound restart's redo pass to the log
-	// suffix past the checkpoint; writers are never stopped. Requires
+	// WAL records have been appended since the last one (0 disables
+	// automatic checkpoints). Checkpoints bound restart's redo pass to the
+	// log suffix past the checkpoint; writers are never stopped. Requires
 	// CheckpointSink.
 	CheckpointEvery int
-	// CheckpointEveryBytes triggers an automatic checkpoint on approximate
-	// WAL growth in bytes since the last one (0 disables the byte trigger).
-	CheckpointEveryBytes int64
 	// CheckpointSink supplies the destination stream for each automatic
 	// checkpoint. It is called once per checkpoint from a background
 	// goroutine; the returned writer is closed when the snapshot is sealed.
@@ -180,12 +170,9 @@ type Options struct {
 	// transformation's phases, propagation iterations, parallel worker groups
 	// and populate partitions are recorded into a bounded ring, exportable as
 	// Chrome trace-event JSON (DB.Timeline, /debug/timeline — open the output
-	// in Perfetto or chrome://tracing). Off (the default), every instrumented
-	// site costs a single atomic load.
+	// in Perfetto or chrome://tracing); the ring keeps the newest 8192 events.
+	// Off (the default), every instrumented site costs a single atomic load.
 	Timeline bool
-	// TimelineSize bounds the timeline ring (0 selects 8192 events; older
-	// events are evicted).
-	TimelineSize int
 	// LagSLO is the freshness service-level objective: the maximum
 	// source-commit→target-apply lag considered healthy. It arms the health
 	// watchdog's freshness-lag rule (WARN past the SLO, CRIT past 4×; needs
@@ -206,34 +193,15 @@ type Options struct {
 	// arm). Off by default; when off the engine maintains no version chains
 	// and the read/write paths pay nothing.
 	SnapshotReads bool
-	// SharedReads selects the read-path row-sharing discipline. The default
-	// (SharedReadsOn, the zero value) returns the stored tuples themselves
-	// from reads and scans — zero-copy, allocation-free — relying on the
-	// engine-wide copy-on-write invariant: writers replace rows wholesale,
-	// nobody mutates a returned tuple in place. SharedReadsOff restores
-	// clone-on-read (every read deep-copies); it is the benchmark ablation
-	// arm and an escape hatch for callers that mutate returned rows.
-	SharedReads SharedReadsMode
 }
-
-// SharedReadsMode selects how reads return rows; see Options.SharedReads.
-type SharedReadsMode = engine.SharedReadsMode
-
-// SharedReads modes.
-const (
-	// SharedReadsOn (the default) returns shared read-only tuples.
-	SharedReadsOn = engine.SharedReadsOn
-	// SharedReadsOff clones every row a read or scan returns.
-	SharedReadsOff = engine.SharedReadsOff
-)
 
 func (o Options) engineOptions() engine.Options {
 	var tl *obs.Timeline
 	if o.Timeline {
-		tl = obs.NewTimeline(o.TimelineSize)
+		tl = obs.NewTimeline(0)
 	}
 	return engine.Options{
-		Timeline: tl,
+		Timeline:          tl,
 		LockTimeout:       o.LockTimeout,
 		Faults:            o.Faults,
 		LenientWAL:        o.LenientWAL,
@@ -244,11 +212,8 @@ func (o Options) engineOptions() engine.Options {
 		StoragePartitions: o.StoragePartitions,
 		GroupCommit:       o.GroupCommit,
 		SnapshotReads:     o.SnapshotReads,
-		SharedReads:       o.SharedReads,
-
-		CheckpointEvery:      o.CheckpointEvery,
-		CheckpointEveryBytes: o.CheckpointEveryBytes,
-		CheckpointSink:       o.CheckpointSink,
+		CheckpointEvery:   o.CheckpointEvery,
+		CheckpointSink:    o.CheckpointSink,
 	}
 }
 
@@ -276,9 +241,6 @@ type DB struct {
 	// propagateWorkers is the database-wide default for
 	// TransformOptions.PropagateWorkers (0 = core's automatic default).
 	propagateWorkers int
-	// compactPropagation is the database-wide default for
-	// TransformOptions.CompactPropagation (CompactionDefault = on).
-	compactPropagation CompactionMode
 	// lagSLO is the database-wide default for TransformOptions.LagSLO.
 	lagSLO time.Duration
 	// snapshotReads records Options.SnapshotReads: transformations default
@@ -294,8 +256,11 @@ type DB struct {
 	flight   *obs.FlightRecorder
 }
 
-// Open creates an empty database.
-func Open(opts ...Options) *DB {
+// open is the one constructor behind Open, Restart and RestartWithCheckpoint:
+// it settles the options, has build make the engine from them, and starts the
+// monitoring they ask for, so a restarted database honours every option a
+// freshly opened one does.
+func open(opts []Options, build func(engine.Options) (*engine.DB, *WALCorruption, error)) (*DB, *WALCorruption, error) {
 	var o Options
 	if len(opts) > 0 {
 		o = opts[0]
@@ -305,14 +270,25 @@ func Open(opts ...Options) *DB {
 		// than silently sampling nothing.
 		o.Metrics = NewMetricsRegistry()
 	}
+	eng, cut, err := build(o.engineOptions())
+	if err != nil {
+		return nil, nil, err
+	}
 	db := &DB{
-		eng:                engine.New(o.engineOptions()),
-		propagateWorkers:   o.PropagateWorkers,
-		compactPropagation: o.CompactPropagation,
-		lagSLO:             o.LagSLO,
-		snapshotReads:      o.SnapshotReads,
+		eng:              eng,
+		propagateWorkers: o.PropagateWorkers,
+		lagSLO:           o.LagSLO,
+		snapshotReads:    o.SnapshotReads,
 	}
 	db.initMonitor(o)
+	return db, cut, nil
+}
+
+// Open creates an empty database.
+func Open(opts ...Options) *DB {
+	db, _, _ := open(opts, func(eo engine.Options) (*engine.DB, *WALCorruption, error) {
+		return engine.New(eo), nil, nil
+	})
 	return db
 }
 

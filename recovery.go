@@ -92,27 +92,7 @@ func (db *DB) WriteLog(w io.Writer) (int64, error) {
 // If the crash interrupted a schema transformation, follow Restart with
 // DB.Recover.
 func Restart(r io.Reader, tables []TableSpec, opts ...Options) (*DB, *WALCorruption, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	defs := make([]*catalog.TableDef, len(tables))
-	for i, s := range tables {
-		def, err := s.def()
-		if err != nil {
-			return nil, nil, err
-		}
-		defs[i] = def
-	}
-	eng, cut, err := engine.RestartFrom(defs, r, o.engineOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	return &DB{
-		eng:                eng,
-		propagateWorkers:   o.PropagateWorkers,
-		compactPropagation: o.CompactPropagation,
-	}, cut, nil
+	return RestartWithCheckpoint(r, nil, tables, opts...)
 }
 
 // Recover cleans up a schema transformation interrupted by a crash: target
@@ -163,7 +143,7 @@ func (db *DB) RecoverWith(ctx context.Context, opts RecoverOptions) (RecoverRepo
 // WAL suffix past the checkpoint repairs on restart (guarded, idempotent
 // redo). Checkpoints appended to one stream accumulate; RestartWithCheckpoint
 // uses the newest complete one. Automatic checkpoints are configured with
-// Options.CheckpointEvery / CheckpointEveryBytes / CheckpointSink.
+// Options.CheckpointEvery and CheckpointSink.
 func (db *DB) Checkpoint(w io.Writer) (CheckpointStats, error) {
 	return db.eng.Checkpoint(w)
 }
@@ -188,10 +168,6 @@ func (db *DB) ReplayedRecords() int64 { return db.eng.ReplayedRecords() }
 // log, so recovery always converges to the same state. A nil snap is
 // exactly Restart.
 func RestartWithCheckpoint(log, snap io.Reader, tables []TableSpec, opts ...Options) (*DB, *WALCorruption, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
 	defs := make([]*catalog.TableDef, len(tables))
 	for i, s := range tables {
 		def, err := s.def()
@@ -200,13 +176,7 @@ func RestartWithCheckpoint(log, snap io.Reader, tables []TableSpec, opts ...Opti
 		}
 		defs[i] = def
 	}
-	eng, cut, err := engine.RestartFromSnapshot(defs, log, snap, o.engineOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	return &DB{
-		eng:                eng,
-		propagateWorkers:   o.PropagateWorkers,
-		compactPropagation: o.CompactPropagation,
-	}, cut, nil
+	return open(opts, func(eo engine.Options) (*engine.DB, *WALCorruption, error) {
+		return engine.RestartFromSnapshot(defs, log, snap, eo)
+	})
 }

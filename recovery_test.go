@@ -1,10 +1,12 @@
 package nbschema
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func customerSpec() TableSpec {
@@ -58,6 +60,67 @@ func TestPublicRestartRoundTrip(t *testing.T) {
 	}
 	if n, _ := db2.Rows("customer"); n != 2 {
 		t.Fatalf("restarted db has %d rows, want 2", n)
+	}
+}
+
+// TestRestartHonoursOptions: a restarted database comes out of the same
+// constructor as a freshly opened one, so the options that live above the
+// engine — snapshot population, the freshness SLO, the telemetry sampler and
+// the registry it implies — hold after Restart and RestartWithCheckpoint too.
+func TestRestartHonoursOptions(t *testing.T) {
+	src := Open()
+	seedCustomers(t, src)
+	var snap, log bytes.Buffer
+	if _, err := src.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.WriteLog(&log); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{SnapshotReads: true, HistoryInterval: time.Millisecond, LagSLO: 250 * time.Millisecond}
+	tables := []TableSpec{customerSpec()}
+
+	for name, restart := range map[string]func() (*DB, *WALCorruption, error){
+		"Restart": func() (*DB, *WALCorruption, error) {
+			return Restart(bytes.NewReader(log.Bytes()), tables, opts)
+		},
+		"RestartWithCheckpoint": func() (*DB, *WALCorruption, error) {
+			return RestartWithCheckpoint(bytes.NewReader(log.Bytes()), bytes.NewReader(snap.Bytes()), tables, opts)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, _, err := restart()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if db.Metrics() == nil || db.History() == nil {
+				t.Fatalf("metrics registry %v, history sampler %v: HistoryInterval was dropped", db.Metrics(), db.History())
+			}
+			if cfg := (TransformOptions{}).config(db); cfg.LagSLO != opts.LagSLO || !cfg.SnapshotPopulate {
+				t.Errorf("transformation config: LagSLO %v, SnapshotPopulate %v; want %v, true",
+					cfg.LagSLO, cfg.SnapshotPopulate, opts.LagSLO)
+			}
+			tr, err := db.Split(SplitSpec{
+				Source: "customer", Left: "customer_base", Right: "place",
+				SplitOn: []string{"zip"}, RightOnly: []string{"city"},
+			}, TransformOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if n := db.Metrics().Snapshot().Counters["storage.snapshot.chunk"]; n == 0 {
+				t.Error("the split populated from a fuzzy scan, not from a snapshot")
+			}
+			for deadline := time.Now().Add(5 * time.Second); db.History().Taken() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the history sampler never ticked")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -33,15 +33,13 @@ const (
 
 // CompactionMode selects whether log propagation coalesces each interval's
 // backlog to its per-key net effect before replay (see
-// Options.CompactPropagation and TransformOptions.CompactPropagation).
+// TransformOptions.CompactPropagation).
 type CompactionMode = core.CompactionMode
 
-// Compaction modes. The zero value (CompactionDefault) inherits the
-// surrounding default, which is on.
+// Compaction modes. The zero value is CompactionOn.
 const (
-	CompactionDefault = core.CompactionDefault
-	CompactionOn      = core.CompactionOn
-	CompactionOff     = core.CompactionOff
+	CompactionOn  = core.CompactionOn
+	CompactionOff = core.CompactionOff
 )
 
 // Phase is a transformation lifecycle phase.
@@ -148,10 +146,9 @@ type TransformOptions struct {
 	// interval before replay (operators that support it; splits do, FOJ
 	// replays raw): runs of updates to one source row coalesce to a single
 	// update, and an insert that is deleted again within the interval
-	// collapses to its trailing delete. CompactionDefault inherits the
-	// database-wide Options.CompactPropagation (itself defaulting to on);
-	// CompactionOff replays the raw log — the ablation baseline, best
-	// paired with PropagateWorkers=1 for a fully serial reference run.
+	// collapses to its trailing delete. The zero value (CompactionOn)
+	// compacts; CompactionOff replays the raw log — the ablation baseline,
+	// best paired with PropagateWorkers=1 for a fully serial reference run.
 	CompactPropagation CompactionMode
 	// Trace streams the transformation's structured trace events to a
 	// custom sink as they happen, in addition to the bounded in-memory ring
@@ -190,9 +187,6 @@ func (o TransformOptions) config(db *DB) core.Config {
 	}
 	if cfg.PropagateWorkers == 0 {
 		cfg.PropagateWorkers = db.propagateWorkers
-	}
-	if cfg.Compaction == core.CompactionDefault {
-		cfg.Compaction = db.compactPropagation
 	}
 	if o.AbortOnStall {
 		cfg.StallPolicy = core.StallAbort
