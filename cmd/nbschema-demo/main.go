@@ -123,7 +123,8 @@ func main() {
 	// With -si, lock-free snapshot readers run alongside the writers: each
 	// opens an MVCC snapshot, reads a consistent batch of customers without
 	// taking a single lock, and closes it. They never block a writer and
-	// never wait on one — not even during the switchover latch window.
+	// never wait on a writer's locks; like every operation they pause for
+	// the switchover latch window.
 	if *si {
 		log.Printf("snapshot readers: 2 clients reading via MVCC snapshots (no locks)")
 		for c := 0; c < 2; c++ {

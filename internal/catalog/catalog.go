@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"nbschema/internal/value"
+	"nbschema/internal/wal"
 )
 
 // ErrNotFound reports a reference to a table that does not exist (possibly
@@ -63,6 +64,10 @@ type TableDef struct {
 	CandidateKeys [][]int
 	State         State
 
+	// dropAt is the switchover LSN of StateDropping: transactions begun at
+	// or after it are denied. It is written and read only together with
+	// State, under the catalog lock (SetState, StateOf).
+	dropAt wal.LSN
 	byName map[string]int
 }
 
@@ -173,6 +178,7 @@ func (d *TableDef) Clone() *TableDef {
 		Columns:    append([]Column(nil), d.Columns...),
 		PrimaryKey: append([]int(nil), d.PrimaryKey...),
 		State:      d.State,
+		dropAt:     d.dropAt,
 		byName:     make(map[string]int, len(d.byName)),
 	}
 	for _, k := range d.CandidateKeys {
@@ -247,29 +253,36 @@ func (c *Catalog) Rename(oldName, newName string) error {
 	return nil
 }
 
-// SetState updates the lifecycle state of a table.
-func (c *Catalog) SetState(name string, s State) error {
+// SetState updates the lifecycle state of a table together with its drop
+// gate: dropAt is the switchover LSN of StateDropping (the first begin LSN
+// denied access) and is ignored for the other states. Setting both in one
+// write means no reader can see the new state beside a stale gate.
+func (c *Catalog) SetState(name string, s State, dropAt wal.LSN) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d, ok := c.tables[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	d.State = s
+	if s != StateDropping {
+		dropAt = 0
+	}
+	d.State, d.dropAt = s, dropAt
 	return nil
 }
 
-// StateOf returns the lifecycle state of a table, read under the catalog
-// lock. Concurrent readers must use this instead of TableDef.State: the
-// field is written by SetState while user transactions check access.
-func (c *Catalog) StateOf(name string) (State, error) {
+// StateOf returns the lifecycle state of a table and its drop gate (zero
+// unless the state is StateDropping), read together under the catalog lock.
+// Concurrent readers must use this instead of TableDef.State: the field is
+// written by SetState while user transactions check access.
+func (c *Catalog) StateOf(name string) (State, wal.LSN, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	d, ok := c.tables[name]
 	if !ok {
-		return StatePublic, fmt.Errorf("%w: %s", ErrNotFound, name)
+		return StatePublic, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return d.State, nil
+	return d.State, d.dropAt, nil
 }
 
 // List returns the sorted names of all tables, including hidden ones.

@@ -191,14 +191,27 @@ func TestCatalogStateAndList(t *testing.T) {
 	if err := c.Create(sampleDef(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetState("customer", StateHidden); err != nil {
+	if err := c.SetState("customer", StateHidden, 0); err != nil {
 		t.Fatalf("SetState: %v", err)
 	}
 	d, _ := c.Get("customer")
 	if d.State != StateHidden {
 		t.Errorf("state = %v", d.State)
 	}
-	if err := c.SetState("ghost", StatePublic); err == nil {
+	// The drop gate travels with the dropping state and is cleared with it.
+	if err := c.SetState("customer", StateDropping, 7); err != nil {
+		t.Fatal(err)
+	}
+	if s, at, err := c.StateOf("customer"); s != StateDropping || at != 7 || err != nil {
+		t.Errorf("StateOf = %v, %d, %v; want dropping, 7", s, at, err)
+	}
+	if err := c.SetState("customer", StatePublic, 7); err != nil {
+		t.Fatal(err)
+	}
+	if s, at, _ := c.StateOf("customer"); s != StatePublic || at != 0 {
+		t.Errorf("StateOf after reopen = %v, %d; want public, 0", s, at)
+	}
+	if err := c.SetState("ghost", StatePublic, 0); err == nil {
 		t.Error("SetState on missing table should fail")
 	}
 	other, _ := NewTableDef("aaa", []Column{{Name: "a", Type: value.KindInt}}, []string{"a"})

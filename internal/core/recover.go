@@ -146,7 +146,7 @@ func Recover(ctx context.Context, db *engine.DB, cfg RecoverConfig) (RecoverRepo
 			protect[t] = true
 		}
 		for _, s := range tr.op.Sources() {
-			if stt, err := db.Catalog().StateOf(s); err == nil && stt == catalog.StateDropping {
+			if stt, _, err := db.Catalog().StateOf(s); err == nil && stt == catalog.StateDropping {
 				if err := db.DropTable(s); err != nil {
 					return rep, fmt.Errorf("core: recover: drop source %s: %w", s, err)
 				}

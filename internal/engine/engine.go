@@ -171,7 +171,6 @@ type DB struct {
 	mu      sync.RWMutex
 	tables  map[string]*storage.Table
 	latches map[string]*lock.Latch
-	dropAt  map[string]wal.LSN // table → LSN of its StateDropping switchover
 
 	txnMu   sync.Mutex
 	nextTxn wal.TxnID
@@ -223,7 +222,6 @@ func New(opts Options) *DB {
 		opts:    opts,
 		tables:  make(map[string]*storage.Table),
 		latches: make(map[string]*lock.Latch),
-		dropAt:  make(map[string]wal.LSN),
 		active:  make(map[wal.TxnID]*Txn),
 	}
 	switch {
@@ -365,7 +363,6 @@ func (db *DB) DropTable(name string) error {
 	}
 	delete(db.tables, name)
 	delete(db.latches, name)
-	delete(db.dropAt, name)
 	db.mu.Unlock()
 	return nil
 }
@@ -404,43 +401,31 @@ func (db *DB) Latch(name string) *lock.Latch {
 }
 
 // MarkDropping switches a table to the dropping state, recording the
-// switchover LSN: transactions begun at or after it are denied access, while
-// older transactions may finish (non-blocking commit) or roll back
-// (non-blocking abort).
+// switchover LSN in the same catalog write: transactions begun at or after it
+// are denied access, while older transactions may finish (non-blocking
+// commit) or roll back (non-blocking abort).
 func (db *DB) MarkDropping(name string, at wal.LSN) error {
-	if err := db.cat.SetState(name, catalog.StateDropping); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	db.dropAt[name] = at
-	db.mu.Unlock()
-	return nil
+	return db.cat.SetState(name, catalog.StateDropping, at)
 }
 
 // Publish makes a hidden target table user-visible.
 func (db *DB) Publish(name string) error {
-	return db.cat.SetState(name, catalog.StatePublic)
+	return db.cat.SetState(name, catalog.StatePublic, 0)
 }
 
 // Reopen returns a table to public use and clears any switchover gate. Crash
 // recovery uses it to revert a source table left in the dropping state by a
 // transformation that did not finish.
 func (db *DB) Reopen(name string) error {
-	if err := db.cat.SetState(name, catalog.StatePublic); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	delete(db.dropAt, name)
-	db.mu.Unlock()
-	return nil
+	return db.cat.SetState(name, catalog.StatePublic, 0)
 }
 
 // accessibleAt reports whether a transaction that began at beginLSN may
-// operate on the table right now. The state is re-read under the catalog
-// lock: a synchronization step may flip it concurrently
+// operate on the table right now. State and drop gate are read in one
+// catalog call: a synchronization step may flip them concurrently
 // (Publish/MarkDropping).
 func (db *DB) accessibleAt(def *catalog.TableDef, beginLSN wal.LSN) error {
-	state, err := db.cat.StateOf(def.Name)
+	state, at, err := db.cat.StateOf(def.Name)
 	if err != nil {
 		return fmt.Errorf("%w: %s", ErrNoAccess, def.Name)
 	}
@@ -450,9 +435,6 @@ func (db *DB) accessibleAt(def *catalog.TableDef, beginLSN wal.LSN) error {
 	case catalog.StateHidden:
 		return fmt.Errorf("%w: %s is a hidden transformation target", ErrNoAccess, def.Name)
 	case catalog.StateDropping:
-		db.mu.RLock()
-		at := db.dropAt[def.Name]
-		db.mu.RUnlock()
 		if beginLSN < at {
 			return nil // an "old" transaction may finish its work
 		}
@@ -462,16 +444,23 @@ func (db *DB) accessibleAt(def *catalog.TableDef, beginLSN wal.LSN) error {
 	}
 }
 
-// openTable is the single resolution path every transactional read and write
-// goes through — 2PL operations and snapshot reads alike: resolve the
-// definition, storage and latch of a table, then gate on its lifecycle state
-// against the caller's begin LSN. The caller acquires the returned latch.
-func (db *DB) openTable(name string, beginLSN wal.LSN) (*catalog.TableDef, *storage.Table, *lock.Latch, error) {
+// enter is the one way into a table for every transactional read and write,
+// 2PL operations and snapshot reads alike. It resolves the table, takes its
+// latch shared, and only then gates on the lifecycle state against the
+// caller's begin LSN. Synchronization flips a source's state while it holds
+// that latch exclusively, so an operation parked behind the switchover is
+// judged by the state the switchover left, not the one it replaced (§3.4:
+// past the switchover only doomed transactions touch the sources, and their
+// undo bypasses this gate). On success the latch is returned held shared and
+// the caller releases it; on denial it is already released.
+func (db *DB) enter(name string, beginLSN wal.LSN) (*catalog.TableDef, *storage.Table, *lock.Latch, error) {
 	def, tbl, latch, err := db.resolve(name)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	latch.AcquireShared()
 	if err := db.accessibleAt(def, beginLSN); err != nil {
+		latch.ReleaseShared()
 		return nil, nil, nil, err
 	}
 	return def, tbl, latch, nil

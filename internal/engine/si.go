@@ -13,10 +13,11 @@ import (
 // Snap is a read-only snapshot-isolation transaction: it reads the newest
 // versions committed at or before its begin timestamp and never touches the
 // lock manager — a reader can never block a writer and never blocks on one.
-// Only partition latches (physical safety) are taken, exactly like a fuzzy
-// scan. Snapshots gate on table lifecycle states the way 2PL transactions
-// do: hidden transformation targets are denied, and a snapshot opened before
-// a source's drop switchover may keep reading it.
+// Snapshots enter a table the way 2PL transactions do (DB.enter): the table
+// latch is taken shared, so a snapshot read pauses for a synchronization
+// step's latch window, and lifecycle states gate it under that latch —
+// hidden transformation targets are denied, and a snapshot opened before a
+// source's drop switchover may keep reading it.
 //
 // A Snap pins old versions against chain GC until Close; long-lived
 // snapshots therefore grow version chains. All methods are safe for one
@@ -86,11 +87,10 @@ func (s *Snap) Get(table string, key value.Tuple) (value.Tuple, error) {
 	if s.done {
 		return nil, fmt.Errorf("%w (snapshot)", ErrTxnDone)
 	}
-	_, tbl, latch, err := s.db.openTable(table, s.begin)
+	_, tbl, latch, err := s.db.enter(table, s.begin)
 	if err != nil {
 		return nil, err
 	}
-	latch.AcquireShared()
 	defer latch.ReleaseShared()
 	s.keyBuf = key.AppendEncode(s.keyBuf[:0])
 	row, _, err := tbl.GetAtEnc(key, s.keyBuf, s.ts)
@@ -107,11 +107,10 @@ func (s *Snap) Scan(table string, fn func(row value.Tuple) bool) error {
 	if s.done {
 		return fmt.Errorf("%w (snapshot)", ErrTxnDone)
 	}
-	_, tbl, latch, err := s.db.openTable(table, s.begin)
+	_, tbl, latch, err := s.db.enter(table, s.begin)
 	if err != nil {
 		return err
 	}
-	latch.AcquireShared()
 	defer latch.ReleaseShared()
 	stop := false
 	for pi := 0; pi < tbl.Partitions() && !stop; pi++ {

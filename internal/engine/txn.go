@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbschema/internal/catalog"
 	"nbschema/internal/lock"
 	"nbschema/internal/obs"
 	"nbschema/internal/storage"
@@ -54,10 +53,10 @@ type Txn struct {
 	mu      sync.Mutex
 	state   txnState
 	lastLSN wal.LSN
-	nOps    int
 
-	// ops mirrors nOps for lock-free introspection (TxnInfos must not take
-	// t.mu: it may be held across a blocked lock wait).
+	// ops counts the logged data operations. It is atomic so introspection
+	// reads it lock-free (TxnInfos must not take t.mu: it may be held across
+	// a blocked lock wait).
 	ops atomic.Int64
 
 	// Bounded event history for the debug surface, guarded by its own mutex
@@ -117,15 +116,6 @@ func (t *Txn) doom() { t.doomed.Store(true) }
 // Doomed reports whether the transaction has been marked for forced abort.
 func (t *Txn) Doomed() bool { return t.doomed.Load() }
 
-// open resolves a table for this transaction — definition, storage, latch —
-// and gates on its lifecycle state against the transaction's begin LSN. It
-// is the one resolution path shared by every 2PL operation (snapshot reads
-// go through the same db.openTable with their own begin LSN). Called with
-// t.mu held; the caller acquires the latch.
-func (t *Txn) open(table string) (*catalog.TableDef, *storage.Table, *lock.Latch, error) {
-	return t.db.openTable(table, t.BeginLSN())
-}
-
 // writeCtx returns the transaction's MVCC write identity, allocating the
 // shared commit cell on first use; nil when MVCC is off (the zero-cost
 // disabled mode). Called with t.mu held.
@@ -137,13 +127,6 @@ func (t *Txn) writeCtx() *storage.WriteCtx {
 		t.wctx = &storage.WriteCtx{Cell: &storage.CommitCell{}, BeginTS: t.beginTS}
 	}
 	return t.wctx
-}
-
-// noteConflict counts a first-committer-wins rejection surfaced by storage.
-func (t *Txn) noteConflict(err error) {
-	if errors.Is(err, storage.ErrWriteConflict) {
-		t.db.met.wconflicts.Add(1)
-	}
 }
 
 // checkUsable must be called with t.mu held.
@@ -209,15 +192,14 @@ func (t *Txn) Insert(table string, row value.Tuple) error {
 	if err := t.checkUsable(); err != nil {
 		return err
 	}
-	def, tbl, latch, err := t.open(table)
+	def, tbl, latch, err := t.db.enter(table, t.BeginLSN())
 	if err != nil {
 		return err
 	}
+	defer latch.ReleaseShared()
 	if err := def.ValidateRow(row); err != nil {
 		return err
 	}
-	latch.AcquireShared()
-	defer latch.ReleaseShared()
 
 	// KeyOf projects into a fresh tuple, so the WAL record may carry it
 	// without a defensive clone; the encoding is derived once into the
@@ -235,35 +217,18 @@ func (t *Txn) Insert(table string, row value.Tuple) error {
 	if err := tbl.CheckUniqueEnc(row, enc); err != nil {
 		return err
 	}
-	stored := row.Clone()
-	rec := &wal.Record{
+	// The one clone is shared between the log record and storage:
+	// InsertEncW takes ownership of the tuple, and the copy-on-write
+	// discipline (writers replace rows, never mutate them) keeps the logged
+	// image stable.
+	return t.logAndApply(tbl, &wal.Record{
 		Txn:   t.id,
 		Type:  wal.TypeInsert,
 		Table: table,
 		Key:   key,
-		Row:   stored,
+		Row:   row.Clone(),
 		Prev:  t.lastLSN,
-	}
-	t.touch(table)
-	lsn := t.db.log.Append(rec)
-	// The one clone above is shared between the log record and storage:
-	// InsertEncW takes ownership of the tuple, and the copy-on-write
-	// discipline (writers replace rows, never mutate them) keeps the logged
-	// image stable.
-	if err := tbl.InsertEncW(stored, enc, lsn, t.writeCtx()); err != nil {
-		// The log record is already durable; compensate it immediately so
-		// the log never claims an insert that storage rejected.
-		t.noteConflict(err)
-		t.compensate(rec, false)
-		return err
-	}
-	t.lastLSN = lsn
-	t.nOps++
-	t.ops.Add(1)
-	if t.db.histBound > 0 {
-		t.record(TxnEvent{Kind: "wal-append", Table: table, Key: string(enc), Op: rec.Type.String(), LSN: lsn})
-	}
-	return nil
+	}, enc)
 }
 
 // Update overwrites the named columns of the record under key.
@@ -273,10 +238,11 @@ func (t *Txn) Update(table string, key value.Tuple, cols []string, vals value.Tu
 	if err := t.checkUsable(); err != nil {
 		return err
 	}
-	def, tbl, latch, err := t.open(table)
+	def, tbl, latch, err := t.db.enter(table, t.BeginLSN())
 	if err != nil {
 		return err
 	}
+	defer latch.ReleaseShared()
 	colIdx, err := def.ColIndexes(cols)
 	if err != nil {
 		return err
@@ -284,8 +250,6 @@ func (t *Txn) Update(table string, key value.Tuple, cols []string, vals value.Tu
 	if len(colIdx) != len(vals) {
 		return fmt.Errorf("engine: update arity mismatch: %d cols, %d vals", len(colIdx), len(vals))
 	}
-	latch.AcquireShared()
-	defer latch.ReleaseShared()
 
 	t.keyBuf = key.AppendEncode(t.keyBuf[:0])
 	enc := t.keyBuf
@@ -343,20 +307,7 @@ func (t *Txn) Update(table string, key value.Tuple, cols []string, vals value.Tu
 		// is engine-local (built above), so it needs no further clone.
 		rec.Row = newRow
 	}
-	t.touch(table)
-	lsn := t.db.log.Append(rec)
-	if _, err := tbl.UpdateEncW(key, enc, colIdx, vals, lsn, t.writeCtx()); err != nil {
-		t.noteConflict(err)
-		t.compensate(rec, false)
-		return err
-	}
-	t.lastLSN = lsn
-	t.nOps++
-	t.ops.Add(1)
-	if t.db.histBound > 0 {
-		t.record(TxnEvent{Kind: "wal-append", Table: table, Key: string(enc), Op: rec.Type.String(), LSN: lsn})
-	}
-	return nil
+	return t.logAndApply(tbl, rec, enc)
 }
 
 // Delete removes the record under key.
@@ -366,11 +317,10 @@ func (t *Txn) Delete(table string, key value.Tuple) error {
 	if err := t.checkUsable(); err != nil {
 		return err
 	}
-	_, tbl, latch, err := t.open(table)
+	_, tbl, latch, err := t.db.enter(table, t.BeginLSN())
 	if err != nil {
 		return err
 	}
-	latch.AcquireShared()
 	defer latch.ReleaseShared()
 
 	t.keyBuf = key.AppendEncode(t.keyBuf[:0])
@@ -382,7 +332,7 @@ func (t *Txn) Delete(table string, key value.Tuple) error {
 	if err != nil {
 		return err
 	}
-	rec := &wal.Record{
+	return t.logAndApply(tbl, &wal.Record{
 		Txn:   t.id,
 		Type:  wal.TypeDelete,
 		Table: table,
@@ -392,19 +342,38 @@ func (t *Txn) Delete(table string, key value.Tuple) error {
 		// image stays stable.
 		Row:  before,
 		Prev: t.lastLSN,
-	}
-	t.touch(table)
+	}, enc)
+}
+
+// logAndApply is the one way out to the log for the three writers: it
+// records the table as touched, appends rec, and applies it to tbl under
+// the key encoding enc. A storage rejection after the append is compensated
+// at once (log-only CLR), so the log never claims an operation storage
+// refused; a first-committer-wins rejection is also counted. Called with
+// t.mu and the table latch held.
+func (t *Txn) logAndApply(tbl *storage.Table, rec *wal.Record, enc []byte) error {
+	t.touch(rec.Table)
 	lsn := t.db.log.Append(rec)
-	if _, err := tbl.DeleteEncW(key, enc, t.writeCtx()); err != nil {
-		t.noteConflict(err)
+	var err error
+	switch rec.Type {
+	case wal.TypeInsert:
+		err = tbl.InsertEncW(rec.Row, enc, lsn, t.writeCtx())
+	case wal.TypeUpdate:
+		_, err = tbl.UpdateEncW(rec.Key, enc, rec.Cols, rec.New, lsn, t.writeCtx())
+	case wal.TypeDelete:
+		_, err = tbl.DeleteEncW(rec.Key, enc, t.writeCtx())
+	}
+	if err != nil {
+		if errors.Is(err, storage.ErrWriteConflict) {
+			t.db.met.wconflicts.Add(1)
+		}
 		t.compensate(rec, false)
 		return err
 	}
 	t.lastLSN = lsn
-	t.nOps++
 	t.ops.Add(1)
 	if t.db.histBound > 0 {
-		t.record(TxnEvent{Kind: "wal-append", Table: table, Key: string(enc), Op: rec.Type.String(), LSN: lsn})
+		t.record(TxnEvent{Kind: "wal-append", Table: rec.Table, Key: string(enc), Op: rec.Type.String(), LSN: lsn})
 	}
 	return nil
 }
@@ -417,11 +386,10 @@ func (t *Txn) Get(table string, key value.Tuple) (value.Tuple, error) {
 	if err := t.checkUsable(); err != nil {
 		return nil, err
 	}
-	_, tbl, latch, err := t.open(table)
+	_, tbl, latch, err := t.db.enter(table, t.BeginLSN())
 	if err != nil {
 		return nil, err
 	}
-	latch.AcquireShared()
 	defer latch.ReleaseShared()
 
 	t.keyBuf = key.AppendEncode(t.keyBuf[:0])
@@ -431,29 +399,18 @@ func (t *Txn) Get(table string, key value.Tuple) (value.Tuple, error) {
 	// The returned tuple is shared read-only storage: callers must not
 	// mutate it in place.
 	row, _, err := tbl.GetEnc(key, t.keyBuf)
-	if err != nil {
-		return nil, err
-	}
-	return row, nil
+	return row, err
 }
 
 // NumOps returns the number of logged data operations so far.
-func (t *Txn) NumOps() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nOps
-}
+func (t *Txn) NumOps() int { return int(t.ops.Load()) }
 
 // Commit makes the transaction's effects permanent and releases its locks.
 func (t *Txn) Commit() error {
 	t.mu.Lock()
-	if t.state != txnActive {
+	if err := t.checkUsable(); err != nil {
 		t.mu.Unlock()
-		return fmt.Errorf("%w (txn %d)", ErrTxnDone, t.id)
-	}
-	if t.doomed.Load() {
-		t.mu.Unlock()
-		return fmt.Errorf("%w (txn %d)", ErrTxnDoomed, t.id)
+		return err
 	}
 	// Stamp the commit's wall-clock time into the record: the log propagator
 	// subtracts it from its apply time to measure how far the transformation
@@ -534,7 +491,16 @@ func (t *Txn) undoAll() {
 // A failed operation (applied=false, e.g. a storage-level rejection after
 // logging) is compensated only in the log: the pair of records neutralizes
 // itself for every log consumer. Called with t.mu held.
+//
+// The undo path deliberately bypasses the access check of DB.enter: a
+// doomed transaction must roll back on a source it may no longer enter. It
+// resolves the table once, and only when there is something to apply.
 func (t *Txn) compensate(rec *wal.Record, applied bool) {
+	var tbl *storage.Table
+	var latch *lock.Latch
+	if applied {
+		_, tbl, latch, _ = t.db.resolve(rec.Table) // nil: dropped mid-undo
+	}
 	clr := &wal.Record{
 		Txn:      t.id,
 		Type:     wal.TypeCLR,
@@ -556,21 +522,19 @@ func (t *Txn) compensate(rec *wal.Record, applied bool) {
 		clr.Cols = rec.Cols
 		clr.Old = rec.New
 		clr.New = rec.Old // compensation restores the before-image
-		if applied && !clr.Key.Equal(rec.Key) {
+		if tbl != nil && !clr.Key.Equal(rec.Key) {
 			// A re-keying compensation carries the full restored image, for
 			// the same reason a re-keying update does: a fuzzy checkpoint may
 			// capture the moved row under neither key, and guarded redo then
 			// re-creates it from this post-image.
-			if _, tbl, _, err := t.db.resolve(rec.Table); err == nil {
-				if cur, _, err := tbl.Get(clr.Key); err == nil {
-					// cur may be the stored tuple itself (shared reads):
-					// build the restored image on a clone, never in place.
-					restored := cur.Clone()
-					for i, c := range rec.Cols {
-						restored[c] = rec.Old[i]
-					}
-					clr.Row = restored
+			if cur, _, err := tbl.Get(clr.Key); err == nil {
+				// cur may be the stored tuple itself (shared reads): build
+				// the restored image on a clone, never in place.
+				restored := cur.Clone()
+				for i, c := range rec.Cols {
+					restored[c] = rec.Old[i]
 				}
+				clr.Row = restored
 			}
 		}
 	case wal.TypeDelete:
@@ -582,13 +546,8 @@ func (t *Txn) compensate(rec *wal.Record, applied bool) {
 	}
 	lsn := t.db.log.Append(clr)
 	t.lastLSN = lsn
-	if !applied {
-		return
-	}
-
-	_, tbl, latch, err := t.db.resolve(rec.Table)
-	if err != nil {
-		return // table dropped mid-undo; nothing to apply to
+	if tbl == nil {
+		return // log-only compensation, or nothing left to apply to
 	}
 	latch.AcquireShared()
 	defer latch.ReleaseShared()

@@ -8,7 +8,8 @@ import (
 // SnapshotTxn is a read-only snapshot-isolation transaction: it sees the
 // newest versions committed at or before its begin timestamp and takes no
 // transactional locks — its reads never block a writer and never block on
-// one, even mid-transformation. Obtain one with DB.Snapshot on a database
+// one. Like every operation, a read pauses for a transformation's brief
+// switchover latch window. Obtain one with DB.Snapshot on a database
 // opened with Options.SnapshotReads. A SnapshotTxn is intended for a single
 // goroutine; Close it promptly — an open snapshot pins old versions against
 // chain garbage collection.
