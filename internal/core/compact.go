@@ -104,16 +104,15 @@ func (c *compactor) compact(recs []*wal.Record, isSource func(string) bool, nk n
 			// orders them before any conflicting later write.
 			keep[i] = true
 			continue
-		case wal.TypeBegin, wal.TypeFuzzyMark,
-			wal.TypeCheckpointBegin, wal.TypeCheckpointEnd,
-			wal.TypeTransformStart, wal.TypeTransformPhase,
-			wal.TypeTransformProgress, wal.TypeTransformSwitch,
-			wal.TypeTransformDone:
-			continue // no-ops for propagation: dropped
 		case wal.TypeInsert, wal.TypeUpdate, wal.TypeDelete, wal.TypeCLR:
 			if !isSource(rec.Table) {
 				continue // dropped
 			}
+		case wal.TypeCCBegin, wal.TypeCCOK:
+		default:
+			// Begins, fuzzy marks, checkpoint and lifecycle records, and
+			// retired types are no-ops for propagation: dropped.
+			continue
 		}
 
 		key, ok := nk.netKey(rec)

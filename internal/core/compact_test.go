@@ -177,16 +177,22 @@ func TestCompactFenceCutsRuns(t *testing.T) {
 	}
 }
 
+// TestCompactDropsNoise: every record that is neither an operation, a
+// consistency-checker record nor an end of transaction is dropped, without
+// fencing — including the retired type code 14 an older log may carry.
 func TestCompactDropsNoise(t *testing.T) {
 	recs := []*wal.Record{
 		&wal.Record{LSN: 1, Txn: 1, Type: wal.TypeBegin},
 		&wal.Record{LSN: 2, Type: wal.TypeFuzzyMark},
 		&wal.Record{LSN: 3, Txn: 1, Type: wal.TypeUpdate, Table: "dummy", Key: key(1), Cols: []int{1}, New: value.Tuple{value.Str("x")}},
-		end(4, 1),
+		&wal.Record{LSN: 4, Type: wal.Type(14), Mark: 3},
+		&wal.Record{LSN: 5, Type: wal.TypeCheckpointEnd, Mark: 2},
+		&wal.Record{LSN: 6, Type: wal.TypeTransformSwitch, Mark: 5},
+		end(7, 1),
 	}
-	out, _ := runCompact(t, recs)
-	if len(out) != 1 || out[0].Type != wal.TypeCommit {
-		t.Fatalf("got %+v, want just the commit", out)
+	out, st := runCompact(t, recs)
+	if len(out) != 1 || out[0].Type != wal.TypeCommit || st.Fences != 0 {
+		t.Fatalf("got %+v (%d fences), want just the commit", out, st.Fences)
 	}
 }
 
@@ -233,7 +239,7 @@ func TestCompactedReplayMatchesRaw(t *testing.T) {
 			return nil
 		})
 
-		if _, _, err := tr.propagateRange(1, db.Log().End(), nil); err != nil {
+		if _, _, _, err := tr.propagateRange(1, db.Log().End(), nil); err != nil {
 			t.Fatal(err)
 		}
 		assertSplitConverged(t, op)
@@ -289,7 +295,7 @@ func TestProgressReportsLiveApplied(t *testing.T) {
 	// Propagate only half the backlog: the transformation is still
 	// mid-propagation, yet Progress must already show the applied records.
 	end := db.Log().End()
-	if _, _, err := tr.propagateRange(1, end/2, nil); err != nil {
+	if _, _, _, err := tr.propagateRange(1, end/2, nil); err != nil {
 		t.Fatal(err)
 	}
 	pr := tr.Progress()
@@ -300,7 +306,7 @@ func TestProgressReportsLiveApplied(t *testing.T) {
 		t.Error("Progress().RecordsScanned = 0 mid-propagation")
 	}
 
-	if _, _, err := tr.propagateRange(end/2+1, end, nil); err != nil {
+	if _, _, _, err := tr.propagateRange(end/2+1, end, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := tr.Progress()

@@ -377,10 +377,6 @@ type operator interface {
 	// describe returns the lifecycle metadata (kind + spec) serialized into
 	// transform-start records so crash recovery can rebuild the operator.
 	describe() transformMeta
-	// reattach re-binds the operator's target-table handles to restored
-	// storage after a checkpoint restart, recreating target indexes. The
-	// target tables must already exist (loaded from the snapshot).
-	reattach() error
 }
 
 // TargetKey names one target-table record.

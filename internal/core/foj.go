@@ -223,33 +223,6 @@ func (op *fojOp) describe() transformMeta {
 	return transformMeta{Kind: "foj", Join: &spec}
 }
 
-// reattach re-binds the target-table handle after a checkpoint restart. The
-// hidden target must have been restored from the snapshot; its indexes are
-// not serialized, so they are rebuilt here (CreateIndex backfills existing
-// rows).
-func (op *fojOp) reattach() error {
-	op.tTbl = op.db.Table(op.spec.Target)
-	if op.tTbl == nil {
-		return fmt.Errorf("core: foj resume: target %s not restored", op.spec.Target)
-	}
-	if op.tTbl.Index(IndexRKey) == nil {
-		if _, err := op.tTbl.CreateIndex(IndexRKey, op.rPk, false); err != nil {
-			return err
-		}
-	}
-	if op.tTbl.Index(IndexJoin) == nil {
-		if _, err := op.tTbl.CreateIndex(IndexJoin, op.joinT, false); err != nil {
-			return err
-		}
-	}
-	if !equalInts(op.sPkT, op.joinT) && op.tTbl.Index(IndexSKey) == nil {
-		if _, err := op.tTbl.CreateIndex(IndexSKey, op.sPkT, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (op *fojOp) Sources() []string { return []string{op.spec.Left, op.spec.Right} }
 func (op *fojOp) Targets() []string { return []string{op.spec.Target} }
 

@@ -117,7 +117,7 @@ func propagateAll(t *testing.T, tr *Transformation) {
 	from := tr.cursor
 	tr.mu.Unlock()
 	end := tr.db.Log().End()
-	if _, _, err := tr.propagateRange(from, end, nil); err != nil {
+	if _, _, _, err := tr.propagateRange(from, end, nil); err != nil {
 		t.Fatalf("propagate: %v", err)
 	}
 	tr.mu.Lock()
@@ -263,7 +263,7 @@ func TestRule1Idempotent(t *testing.T) {
 	end := db.Log().End()
 	propagateAll(t, tr)
 	// Redo the same records again: rules must ignore them.
-	if _, _, err := tr.propagateRange(1, end, nil); err != nil {
+	if _, _, _, err := tr.propagateRange(1, end, nil); err != nil {
 		t.Fatal(err)
 	}
 	assertConverged(t, op)

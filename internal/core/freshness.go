@@ -86,7 +86,7 @@ func (c *freshCache) oldest(log *wal.Log, applied, end wal.LSN) (wal.LSN, int64)
 // or below upTo has been applied to the target tables. Called at each
 // propagation-cycle boundary (propagateLoop, finalPropagation, the sync
 // catch-up rounds and the drain), at population start (records below the
-// start position are covered by the initial image), and on crash resume.
+// start position are covered by the initial image).
 func (tr *Transformation) noteApplied(upTo wal.LSN) {
 	if upTo == 0 {
 		return

@@ -5,14 +5,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"nbschema/internal/wal"
 )
 
 // TestIdlePropagationDoesNotFloodLog holds a transformation in its
 // propagation loop with zero user traffic and checks the log stays put.
-// Each idle cycle used to append a progress record covering nothing but the
-// previous cycle's progress record, growing the log by roughly one record
+// Without compaction (FOJ) a range holding only the previous cycle's fuzzy
+// mark still counts as applied work; if the loop treated it as busy, it would
+// answer each mark with a fresh one, growing the log by roughly one record
 // per 500µs for as long as synchronization was gated.
 func TestIdlePropagationDoesNotFloodLog(t *testing.T) {
 	db := newJoinDB(t)
@@ -44,16 +43,5 @@ func TestIdlePropagationDoesNotFloodLog(t *testing.T) {
 	}
 	if growth > 4 {
 		t.Errorf("idle propagation grew the log by %d records in 50ms; want ~0", growth)
-	}
-	// The loop must still be journaling real progress: the run as a whole
-	// logged at least one progress record.
-	progress := 0
-	for _, rec := range db.Log().Scan(1, 0) {
-		if rec.Type == wal.TypeTransformProgress {
-			progress++
-		}
-	}
-	if progress == 0 {
-		t.Error("no transform-progress records logged at all")
 	}
 }

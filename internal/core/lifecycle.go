@@ -1,33 +1,26 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"time"
 
 	"nbschema/internal/engine"
-	"nbschema/internal/obs"
 	"nbschema/internal/wal"
 )
 
 // Transformation lifecycle records. A running transformation journals its
-// progress into the WAL so crash recovery can re-attach to it instead of
-// discarding all completed work:
+// milestones into the WAL so crash recovery (recover.go) can tell what a
+// crash interrupted:
 //
 //   - transform-start (Meta = operator kind + spec as JSON) marks target
 //     creation; everything after it belongs to this transformation attempt.
+//     A start without a done is an unfinished attempt.
 //   - transform-phase (Mark = propagation start cursor) marks the initial
-//     population complete: every target storage write of the population
-//     happened before this record was appended.
-//   - transform-progress (Mark = cursor) is appended once per propagation
-//     iteration: every source log record with LSN below Mark has been
-//     applied to the targets before the record was appended.
-//   - transform-switch (Mark = switchover LSN) marks the catalog switchover;
-//     past it the targets are public and a crash is no longer resumable
-//     from these records alone (recovery falls back to drop-and-rerun, or to
-//     a checkpoint taken after completion).
+//     population complete. No recovery case depends on it.
+//   - transform-switch (Mark = switchover LSN) marks the catalog switchover.
+//     The targets are published before it is appended, so a checkpoint that
+//     began after it holds them as public, complete tables; recovery then
+//     finishes the switchover instead of undoing it.
 //   - transform-done (Meta = outcome JSON) marks the attempt finished —
 //     committed or cleanly aborted. Recovery leaves the published targets of
 //     a committed attempt alone.
@@ -69,12 +62,6 @@ func (tr *Transformation) logPopulated(cursor wal.LSN) {
 	tr.db.Log().Append(&wal.Record{Type: wal.TypeTransformPhase, Mark: cursor})
 }
 
-// logProgress appends a transform-progress record: every source record below
-// cursor has been applied to the targets.
-func (tr *Transformation) logProgress(cursor wal.LSN) {
-	tr.db.Log().Append(&wal.Record{Type: wal.TypeTransformProgress, Mark: cursor})
-}
-
 // logSwitch appends the transform-switch record at catalog switchover.
 func (tr *Transformation) logSwitch(at wal.LSN) {
 	tr.db.Log().Append(&wal.Record{Type: wal.TypeTransformSwitch, Mark: at})
@@ -97,35 +84,20 @@ func (tr *Transformation) logDone(aborted bool) {
 // transformLogState summarizes the lifecycle records of the latest
 // transformation attempt found in the log.
 type transformLogState struct {
-	start     *wal.Record // latest transform-start (nil: no attempt logged)
-	populated *wal.Record // latest transform-phase after start
-	// progress is the highest transform-progress Mark after start among
-	// records appended at or below bound (0 bound = no records considered).
-	progress wal.LSN
+	start    *wal.Record // latest transform-start (nil: no attempt logged)
 	switched *wal.Record // transform-switch after start
 	done     *wal.Record // transform-done after start
 	doneMeta doneMeta
 }
 
 // scanTransformLog walks the log and reduces it to the lifecycle state of
-// the latest transformation attempt. Only progress records with LSN at or
-// below bound are folded into progress: a record appended after bound (the
-// restored checkpoint's begin LSN) claims work the checkpoint's fuzzy scans
-// may not have seen yet.
-func scanTransformLog(log *wal.Log, bound wal.LSN) transformLogState {
+// the latest transformation attempt.
+func scanTransformLog(log *wal.Log) transformLogState {
 	var st transformLogState
 	for _, rec := range log.Scan(1, 0) {
 		switch rec.Type {
 		case wal.TypeTransformStart:
 			st = transformLogState{start: rec}
-		case wal.TypeTransformPhase:
-			if st.start != nil {
-				st.populated = rec
-			}
-		case wal.TypeTransformProgress:
-			if st.start != nil && rec.LSN <= bound && rec.Mark > st.progress {
-				st.progress = rec.Mark
-			}
 		case wal.TypeTransformSwitch:
 			if st.start != nil {
 				st.switched = rec
@@ -152,111 +124,21 @@ func decodeTransformMeta(rec *wal.Record) (transformMeta, error) {
 	return meta, nil
 }
 
-// rebuildTransformation reconstructs a transformation from a logged spec.
-func rebuildTransformation(db *engine.DB, meta transformMeta, cfg Config) (*Transformation, error) {
+// rebuildTransformation reconstructs a transformation from a logged spec,
+// with a zero Config: the function-valued knobs cannot be logged.
+func rebuildTransformation(db *engine.DB, meta transformMeta) (*Transformation, error) {
 	switch meta.Kind {
 	case "foj":
 		if meta.Join == nil {
 			return nil, fmt.Errorf("core: transform-start record of kind foj carries no join spec")
 		}
-		return NewFullOuterJoin(db, *meta.Join, cfg)
+		return NewFullOuterJoin(db, *meta.Join, Config{})
 	case "split":
 		if meta.Split == nil {
 			return nil, fmt.Errorf("core: transform-start record of kind split carries no split spec")
 		}
-		return NewSplit(db, *meta.Split, cfg)
+		return NewSplit(db, *meta.Split, Config{})
 	default:
 		return nil, fmt.Errorf("core: unknown transformation kind %q in transform-start record", meta.Kind)
 	}
-}
-
-// Resume re-attaches to an in-flight transformation after a checkpoint
-// restart and drives it to completion, skipping preparation and initial
-// population entirely: the restored snapshot already holds the populated
-// target image, and cursor — the logged propagation low-water mark — bounds
-// the log suffix that must be re-propagated. Re-application of records the
-// crashed process had already applied past the last logged mark is absorbed
-// by the operators' idempotent rules. On error the target tables are
-// dropped, exactly as a failed Run, so the caller can fall back to a
-// from-scratch re-run.
-func (tr *Transformation) Resume(ctx context.Context, cursor wal.LSN) error {
-	start := time.Now()
-	tr.mu.Lock()
-	tr.runStart = start
-	tr.cursor = cursor
-	tr.mu.Unlock()
-	// The logged low-water mark guarantees records below cursor are applied.
-	tr.noteApplied(cursor - 1)
-	tr.mRunning.Add(1)
-	defer tr.mRunning.Add(-1)
-	defer tr.mBacklog.Set(0)
-	defer func() {
-		rounds, repairs := tr.op.CCStats()
-		tr.mu.Lock()
-		tr.metrics.TotalDuration = time.Since(start)
-		tr.metrics.CCRounds = rounds
-		tr.metrics.CCRepairs = repairs
-		tr.mu.Unlock()
-	}()
-
-	if err := tr.resume(ctx, cursor); err != nil {
-		tr.setPhase(PhaseAborted)
-		tr.db.ClearHooks()
-		tr.shadow.SetEnforce(false)
-		cerr := tr.op.Cleanup()
-		tr.logDone(true)
-		tr.emit(obs.EventAbort, func(ev *obs.Event) {
-			ev.Err = err.Error()
-			ev.Duration = time.Since(start)
-		})
-		if cerr != nil {
-			return errors.Join(err, cerr)
-		}
-		return err
-	}
-	tr.logDone(false)
-	tr.setPhase(PhaseDone)
-	tr.emit(obs.EventDone, func(ev *obs.Event) {
-		ev.Duration = time.Since(start)
-		ev.Rules = tr.RuleApplications()
-		ev.Tables = append([]string(nil), tr.op.Targets()...)
-	})
-	return nil
-}
-
-// resume is Run's body minus steps 1 and 2: re-bind the operator to the
-// restored storage, then propagate from the resume cursor and synchronize.
-// The fault point core.resume fires after re-attachment.
-func (tr *Transformation) resume(ctx context.Context, cursor wal.LSN) error {
-	tr.emit(obs.EventResume, func(ev *obs.Event) { ev.LSN = uint64(cursor) })
-	if err := tr.op.reattach(); err != nil {
-		return fmt.Errorf("core: reattach: %w", err)
-	}
-	tr.installHooks()
-	if err := tr.faultHit("resume"); err != nil {
-		return err
-	}
-
-	tr.setPhase(PhasePropagating)
-	if err := tr.faultHit("phase.propagating"); err != nil {
-		return err
-	}
-	propStart := time.Now()
-	if err := tr.propagateLoop(ctx); err != nil {
-		return fmt.Errorf("core: propagate: %w", err)
-	}
-	tr.mu.Lock()
-	tr.metrics.PropagationDuration = time.Since(propStart)
-	tr.mu.Unlock()
-
-	tr.setPhase(PhaseSynchronizing)
-	if err := tr.faultHit("phase.synchronizing"); err != nil {
-		return err
-	}
-	if err := tr.synchronize(ctx); err != nil {
-		return fmt.Errorf("core: synchronize: %w", err)
-	}
-	tr.db.ClearHooks()
-	tr.shadow.SetEnforce(false)
-	return nil
 }

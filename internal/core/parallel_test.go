@@ -71,7 +71,7 @@ func propagateThrottled(t *testing.T, tr *Transformation) {
 	from := tr.cursor
 	tr.mu.Unlock()
 	end := tr.db.Log().End()
-	if _, _, err := tr.propagateRange(from, end, newThrottler(tr)); err != nil {
+	if _, _, _, err := tr.propagateRange(from, end, newThrottler(tr)); err != nil {
 		t.Fatalf("propagate: %v", err)
 	}
 	tr.mu.Lock()

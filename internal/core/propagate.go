@@ -102,7 +102,7 @@ func (tr *Transformation) propagateLoop(ctx context.Context) error {
 			tr.mBacklog.Set(0)
 		}
 
-		applied, scanned, err := tr.propagateRange(from, end, th)
+		applied, scanned, busy, err := tr.propagateRange(from, end, th)
 		if err != nil {
 			return err
 		}
@@ -120,15 +120,13 @@ func (tr *Transformation) propagateLoop(ctx context.Context) error {
 		// cycles are paced in the sub-millisecond range and would flood the
 		// trace — but the analysis is still published for Progress.
 		//
-		// A cycle whose range held nothing but the loop's own bookkeeping
-		// (fuzzy marks and progress records — handled as no-ops, but counted
-		// in applied) is idle too: without compaction it would otherwise take
-		// the busy branch and answer the previous cycle's mark-and-progress
-		// pair with a fresh pair, growing the log indefinitely while
+		// A cycle whose range held nothing but the loop's own fuzzy marks
+		// (no-ops, but counted in applied) is idle too: without compaction it
+		// would otherwise take the busy branch and answer the previous
+		// cycle's mark with a fresh one, growing the log indefinitely while
 		// synchronization stays gated.
 		logQuiet := tr.db.Log().End() == end
-		worth := scanned > 0 && logQuiet && tr.rangeWorthLogging(from, end)
-		if logQuiet && (applied == 0 || !worth) {
+		if logQuiet && (applied == 0 || !busy) {
 			a := Analysis{Remaining: 0, Applied: 0, Scanned: scanned, Duration: time.Since(iterStart), Iteration: iter}
 			tr.mu.Lock()
 			// With compaction, a non-empty range can coalesce to nothing
@@ -145,15 +143,10 @@ func (tr *Transformation) propagateLoop(ctx context.Context) error {
 			if scanned > 0 {
 				tr.noteApplied(end)
 			}
-			// Log progress (and emit an iteration event) only when the
-			// coalesced range held anything besides the loop's own
-			// bookkeeping records. Otherwise every idle cycle would append a
-			// progress record covering nothing but the previous cycle's
-			// progress record, growing the log — and flooding the trace and
-			// the automatic checkpoint triggers — for as long as
-			// synchronization stays gated.
-			if worth {
-				tr.logProgress(end + 1)
+			// Count an iteration (and emit its event) only when the range
+			// held anything besides the loop's own fuzzy marks, so an idle
+			// loop does not flood the trace while synchronization is gated.
+			if busy {
 				tr.mIterations.Add(1)
 				tr.emit(obs.EventIteration, func(ev *obs.Event) {
 					ev.Iteration = iter
@@ -204,9 +197,6 @@ func (tr *Transformation) propagateLoop(ctx context.Context) error {
 		tr.lastA = a
 		tr.mu.Unlock()
 		tr.noteApplied(end)
-		// Low-water mark for crash resume: every source record at or below
-		// end has been applied to the targets (lifecycle.go).
-		tr.logProgress(end + 1)
 		tr.mIterations.Add(1)
 		tr.emit(obs.EventIteration, func(ev *obs.Event) {
 			ev.Iteration = iter
@@ -278,39 +268,29 @@ func (tr *Transformation) propagateLoop(ctx context.Context) error {
 	}
 }
 
-// rangeWorthLogging reports whether [from, to] holds any record besides the
-// ones the propagation loop itself appends in steady state (fuzzy marks and
-// its own progress records). A durable low-water mark over nothing but the
-// loop's own bookkeeping advances no recovery state and would feed the next
-// cycle's scan, so it is not worth a log record.
-func (tr *Transformation) rangeWorthLogging(from, to wal.LSN) bool {
-	for _, rec := range tr.db.Log().Scan(from, to) {
-		switch rec.Type {
-		case wal.TypeFuzzyMark, wal.TypeTransformProgress:
-		default:
-			return true
-		}
-	}
-	return false
-}
-
 // propagateRange redoes log records [from, to] onto the target tables and
 // returns how many records it applied alongside how many raw records it
-// scanned. When the operator supports net-effect keys and compaction is
-// enabled, the interval is first coalesced to its net effect (compact.go) —
-// applied then counts the compacted stream. When the operator can declare
-// conflict keys for its rules, more than one worker is configured, and rule
-// application is not being serialized against post-switchover user
-// transactions, the (compacted) range is applied in parallel
-// independent-key batches; otherwise strictly in LSN order by this
-// goroutine. All paths preserve the per-key LSN order Theorem 1's
+// scanned, and whether any of those was not a fuzzy mark (busy). When the
+// operator supports net-effect keys and compaction is enabled, the interval
+// is first coalesced to its net effect (compact.go) — applied then counts
+// the compacted stream. When the operator can declare conflict keys for its
+// rules, more than one worker is configured, and rule application is not
+// being serialized against post-switchover user transactions, the
+// (compacted) range is applied in parallel independent-key batches;
+// otherwise strictly in LSN order by this goroutine. All paths preserve the per-key LSN order Theorem 1's
 // idempotence argument relies on.
-func (tr *Transformation) propagateRange(from, to wal.LSN, th *throttler) (applied, scanned int, err error) {
+func (tr *Transformation) propagateRange(from, to wal.LSN, th *throttler) (applied, scanned int, busy bool, err error) {
 	if from == 0 || from > to {
-		return 0, 0, nil
+		return 0, 0, false, nil
 	}
 	recs := tr.db.Log().Scan(from, to)
 	scanned = len(recs)
+	for _, rec := range recs {
+		if rec.Type != wal.TypeFuzzyMark {
+			busy = true
+			break
+		}
+	}
 	if nk, ok := tr.op.(netKeyer); ok && tr.cfg.Compaction != CompactionOff {
 		if tr.comp == nil {
 			tr.comp = newCompactor()
@@ -324,7 +304,7 @@ func (tr *Transformation) propagateRange(from, to wal.LSN, th *throttler) (appli
 	// the pre-compaction guarantee crash tests rely on.
 	if len(recs) == 0 && scanned > 0 {
 		if err := tr.faultHit("propagate.batch"); err != nil {
-			return 0, scanned, err
+			return 0, scanned, busy, err
 		}
 	}
 	if ck, ok := tr.op.(conflictKeyer); ok &&
@@ -333,34 +313,34 @@ func (tr *Transformation) propagateRange(from, to wal.LSN, th *throttler) (appli
 		tr.mu.Lock()
 		tr.metrics.RecordsScanned += int64(scanned)
 		tr.mu.Unlock()
-		return applied, scanned, err
+		return applied, scanned, busy, err
 	}
 	for _, rec := range recs {
 		// A "batch" is each run of up to BatchSize records; the fault point
 		// fires at every batch start, including the range's first record.
 		if applied%tr.cfg.BatchSize == 0 {
 			if err := tr.faultHit("propagate.batch"); err != nil {
-				return applied, scanned, err
+				return applied, scanned, busy, err
 			}
 		}
 		if err := tr.handleRecord(rec); err != nil {
-			return applied, scanned, err
+			return applied, scanned, busy, err
 		}
 		applied++
 		tr.applied.Add(1)
 		if th != nil {
 			th.tick(1)
 			if tr.cancel.Load() {
-				return applied, scanned, ErrAborted
+				return applied, scanned, busy, ErrAborted
 			}
 			if err := th.checkDeadline(); err != nil {
-				return applied, scanned, err
+				return applied, scanned, busy, err
 			}
 		}
 		// Give the operator its background slot (consistency checker).
 		if tr.cfg.CheckConsistency && applied%tr.cfg.BatchSize == 0 {
 			if err := tr.op.MaintenanceTick(); err != nil {
-				return applied, scanned, err
+				return applied, scanned, busy, err
 			}
 		}
 	}
@@ -369,7 +349,7 @@ func (tr *Transformation) propagateRange(from, to wal.LSN, th *throttler) (appli
 	tr.metrics.RecordsScanned += int64(scanned)
 	tr.mu.Unlock()
 	tr.mPropagated.Add(int64(applied))
-	return applied, scanned, nil
+	return applied, scanned, busy, nil
 }
 
 // noteCompaction folds one compaction pass into the metrics and registry

@@ -99,7 +99,7 @@ func TestPropertyFOJPropagationIsIdempotent(t *testing.T) {
 		// Replay an arbitrary suffix of the already-propagated log.
 		end := db.Log().End()
 		from := end - wal.LSN(uint64(cut))%end + 1
-		if _, _, err := tr.propagateRange(from, end, nil); err != nil {
+		if _, _, _, err := tr.propagateRange(from, end, nil); err != nil {
 			t.Fatalf("replay: %v", err)
 		}
 		replayed := op.tTbl.Rows()

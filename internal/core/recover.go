@@ -20,24 +20,13 @@ type RecoverConfig struct {
 	// transformation from scratch. It builds the transformation against the
 	// recovered database; Recover then runs it to completion.
 	Rerun func(db *engine.DB) (*Transformation, error)
-	// Resume, when true, re-attaches to an in-flight transformation instead
-	// of dropping its targets, provided the database was restarted from a
-	// checkpoint whose snapshot covers the transformation's initial
-	// population (lifecycle.go). Propagation then restarts from the logged
-	// low-water mark — completed population work is never redone. When the
-	// preconditions do not hold, recovery silently falls back to the
-	// drop-and-rerun path.
-	Resume bool
-	// ResumeConfig tunes the resumed transformation. The function-valued
-	// knobs of a Config (analyzer, sink, rerun hooks) cannot be
-	// reconstructed from the log, so the caller supplies them anew; the
-	// zero value gets the usual defaults.
-	ResumeConfig Config
 }
 
 // RecoverReport describes what Recover found and did.
 type RecoverReport struct {
-	// Orphaned reports whether an unfinished transformation was detected.
+	// Orphaned reports whether an unfinished transformation was detected:
+	// the log holds an attempt that never logged done, or the catalog holds
+	// hidden targets or half-switched sources.
 	Orphaned bool
 	// DroppedTargets lists the orphaned target tables that were dropped.
 	DroppedTargets []string
@@ -46,65 +35,49 @@ type RecoverReport struct {
 	ReopenedSources []string
 	// Rerun reports whether the transformation was re-executed from scratch.
 	Rerun bool
-	// Resumed reports whether an in-flight transformation was re-attached
-	// and driven to completion from its logged low-water mark.
-	Resumed bool
-	// ResumeCursor is the propagation cursor the resumed transformation
-	// restarted from (0 unless Resumed).
-	ResumeCursor wal.LSN
 	// FinishedSwitchover reports that a transformation crashed after its
 	// catalog switchover was restored complete from a checkpoint, and
 	// recovery finished the remaining bookkeeping (dropping the doomed
 	// sources) instead of rolling the switchover back.
 	FinishedSwitchover bool
-	// Transformation is the re-run or resumed transformation (metrics,
-	// phase and operator inspection).
+	// Transformation is the re-run transformation (metrics, phase and
+	// operator inspection).
 	Transformation *Transformation
 }
 
 // Recover detects and cleans up a transformation that was interrupted by a
 // crash. The paper's recovery story (§6) is that a transformation needs no
-// recovery protocol of its own: target tables are populated outside the log,
-// so after a full-replay restart they are empty shells — recovery simply
-// drops them and, because the synchronization never completed, reverts any
-// source caught mid-switchover to public use. The transformation can then be
-// re-run from scratch (RecoverConfig.Rerun).
+// recovery protocol of its own: "aborting the transformation simply means
+// that log propagation is stopped, and the transformed tables are deleted".
+// Target tables are populated outside the log and a checkpoint does not
+// write hidden tables, so after a restart an unfinished attempt's targets
+// are absent or empty shells. Using the lifecycle records in the log
+// (lifecycle.go), Recover picks one of three outcomes:
 //
-// Checkpoints refine that story, because a fuzzy snapshot durably captures
-// the hidden targets mid-flight. Using the lifecycle records in the log
-// (lifecycle.go), Recover distinguishes:
-//
-//   - An attempt whose transform-done record is covered — the database was
-//     never restarted (Recover called again on a live engine), or the
-//     restored checkpoint began after the done record. Its published targets
-//     are complete; they are left alone even when listed in Targets, making
-//     Recover idempotent.
-//   - An attempt that switched over before a covering checkpoint but never
-//     logged done. The restored targets are public and complete; recovery
-//     finishes the switchover (drops the doomed sources) instead of
-//     reopening them against a live copy.
-//   - An in-flight attempt (population logged complete before the restored
-//     checkpoint began, no switchover). With cfg.Resume, recovery rebuilds
-//     the operator from the logged spec and resumes propagation at the
-//     logged low-water mark; re-applied records are absorbed by the
-//     idempotent rules.
-//   - Anything else falls back to the paper's drop-and-rerun path.
+//   - Leave a covered, completed attempt alone. Its transform-done record is
+//     covered — the engine was never restarted (Recover called again on a
+//     live engine), or the restored checkpoint began after the done record
+//     — so its published targets are complete. They are left alone even
+//     when listed in Targets, which makes Recover idempotent.
+//   - Finish a covered switchover. The attempt switched over before the
+//     restored checkpoint began but never logged done: the restored targets
+//     are public and complete, so recovery drops the doomed sources instead
+//     of reopening them against a live copy.
+//   - Otherwise drop the targets and reopen the sources caught
+//     mid-switchover, then, with cfg.Rerun, run the transformation again
+//     from scratch.
 func Recover(ctx context.Context, db *engine.DB, cfg RecoverConfig) (RecoverReport, error) {
 	var rep RecoverReport
 
 	rc := db.RestoredCheckpoint()
-	var bound wal.LSN
-	if rc != nil {
-		bound = rc.Begin
-	}
-	st := scanTransformLog(db.Log(), bound)
+	st := scanTransformLog(db.Log())
 
 	// covered reports whether the effects preceding the record at lsn are
 	// durably present in this database's storage: the engine was never
 	// restarted (everything is live), the record was appended by this
-	// process after its restart finished (e.g. by a resumed or re-run
-	// transformation), or the restored checkpoint's fuzzy scan started
-	// after the record was appended.
+	// process after its restart finished (e.g. by a re-run transformation),
+	// or the restored checkpoint's fuzzy scan started after the record was
+	// appended.
 	covered := func(lsn wal.LSN) bool {
 		if !db.Restarted() || lsn > db.RestartLSN() {
 			return true
@@ -138,7 +111,7 @@ func Recover(ctx context.Context, db *engine.DB, cfg RecoverConfig) (RecoverRepo
 		if err != nil {
 			return rep, fmt.Errorf("core: recover: finish switchover: %w", err)
 		}
-		tr, err := rebuildTransformation(db, meta, cfg.ResumeConfig)
+		tr, err := rebuildTransformation(db, meta)
 		if err != nil {
 			return rep, fmt.Errorf("core: recover: finish switchover: %w", err)
 		}
@@ -154,47 +127,25 @@ func Recover(ctx context.Context, db *engine.DB, cfg RecoverConfig) (RecoverRepo
 		}
 	}
 
-	// Resume eligibility: in-flight attempt, initial population logged
-	// complete before the restored checkpoint began (so the snapshot holds
-	// the populated image), no switchover.
-	var resumeTr *Transformation
-	var resumeCursor wal.LSN
-	if cfg.Resume && !finishSwitch && rc != nil &&
-		st.start != nil && st.switched == nil && st.done == nil &&
-		st.populated != nil && st.populated.LSN < rc.Begin {
-		if meta, err := decodeTransformMeta(st.start); err == nil {
-			if tr, err := rebuildTransformation(db, meta, cfg.ResumeConfig); err == nil {
-				resumeTr = tr
-				resumeCursor = st.populated.Mark
-				if st.progress > resumeCursor {
-					resumeCursor = st.progress
-				}
-				for _, t := range tr.op.Targets() {
-					protect[t] = true
-				}
-			}
-		}
-	}
-
 	listed := make(map[string]bool, len(cfg.Targets))
 	for _, t := range cfg.Targets {
 		listed[t] = true
 	}
 
 	for _, name := range db.Catalog().List() {
-		def, err := db.Catalog().Get(name)
+		state, _, err := db.Catalog().StateOf(name)
 		if err != nil {
 			continue // dropped concurrently
 		}
 		switch {
 		case protect[name]:
 			// Restored transformation state; not an orphan.
-		case listed[name] || def.State == catalog.StateHidden:
+		case listed[name] || state == catalog.StateHidden:
 			if err := db.DropTable(name); err != nil {
 				return rep, fmt.Errorf("core: recover: drop target %s: %w", name, err)
 			}
 			rep.DroppedTargets = append(rep.DroppedTargets, name)
-		case def.State == catalog.StateDropping:
+		case state == catalog.StateDropping:
 			if err := db.Reopen(name); err != nil {
 				return rep, fmt.Errorf("core: recover: reopen source %s: %w", name, err)
 			}
@@ -203,22 +154,7 @@ func Recover(ctx context.Context, db *engine.DB, cfg RecoverConfig) (RecoverRepo
 	}
 	rep.FinishedSwitchover = finishSwitch
 	rep.Orphaned = len(rep.DroppedTargets) > 0 || len(rep.ReopenedSources) > 0 ||
-		resumeTr != nil || finishSwitch
-
-	if resumeTr != nil {
-		err := resumeTr.Resume(ctx, resumeCursor)
-		if err == nil {
-			rep.Resumed = true
-			rep.ResumeCursor = resumeCursor
-			rep.Transformation = resumeTr
-			return rep, nil
-		}
-		// A failed resume cleaned up its targets (Transformation.Resume);
-		// fall through to the from-scratch path when one is configured.
-		if cfg.Rerun == nil {
-			return rep, fmt.Errorf("core: recover: resume: %w", err)
-		}
-	}
+		finishSwitch || (st.start != nil && st.done == nil)
 
 	if rep.Orphaned && !finishSwitch && cfg.Rerun != nil {
 		tr, err := cfg.Rerun(db)

@@ -36,7 +36,7 @@ func completedJoin(t *testing.T) *engine.DB {
 func assertRecoverNoop(t *testing.T, rep RecoverReport) {
 	t.Helper()
 	if rep.Orphaned || len(rep.DroppedTargets) != 0 || len(rep.ReopenedSources) != 0 ||
-		rep.Rerun || rep.Resumed || rep.FinishedSwitchover {
+		rep.Rerun || rep.FinishedSwitchover {
 		t.Fatalf("Recover was not a no-op: %+v", rep)
 	}
 }
@@ -117,25 +117,4 @@ func TestRecoverIdempotentAfterCheckpointRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertRecoverNoop(t, rep2)
-}
-
-// TestRecoverIdempotentAfterResume: once a resumed transformation logs its
-// done record, further Recover calls leave its targets alone.
-func TestRecoverIdempotentAfterResume(t *testing.T) {
-	tc := fojTortureCase()
-	db2 := resumedDatabase(t, tc)
-	want := db2.Table("T").Len()
-	if want == 0 {
-		t.Fatal("resumed transformation left an empty target")
-	}
-	for i := 0; i < 2; i++ {
-		rep, err := Recover(context.Background(), db2, RecoverConfig{Targets: tc.targets})
-		if err != nil {
-			t.Fatalf("Recover #%d after resume: %v", i+1, err)
-		}
-		assertRecoverNoop(t, rep)
-		if got := db2.Table("T"); got == nil || got.Len() != want {
-			t.Fatalf("Recover #%d after resume dropped the target", i+1)
-		}
-	}
 }

@@ -221,7 +221,7 @@ func TestSplitReplayIdempotent(t *testing.T) {
 	sBefore := op.sTbl.Rows()
 
 	for _, from := range []wal.LSN{1, db.Log().End() / 2, db.Log().End()} {
-		if _, _, err := tr.propagateRange(from, db.Log().End(), nil); err != nil {
+		if _, _, _, err := tr.propagateRange(from, db.Log().End(), nil); err != nil {
 			t.Fatalf("replay from %d: %v", from, err)
 		}
 	}

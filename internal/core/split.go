@@ -202,29 +202,6 @@ func (op *splitOp) describe() transformMeta {
 	return transformMeta{Kind: "split", Split: &spec}
 }
 
-// reattach re-binds both target-table handles after a checkpoint restart and
-// re-creates the consistency checker's source index when it is missing.
-func (op *splitOp) reattach() error {
-	op.rTbl = op.db.Table(op.spec.Left)
-	op.sTbl = op.db.Table(op.spec.Right)
-	if op.rTbl == nil || op.sTbl == nil {
-		return fmt.Errorf("core: split resume: targets %s/%s not restored",
-			op.spec.Left, op.spec.Right)
-	}
-	if op.cc != nil {
-		src := op.db.Table(op.spec.Source)
-		if src == nil {
-			return fmt.Errorf("core: split resume: source storage missing")
-		}
-		if src.Index(ccSourceIndex) == nil {
-			if _, err := src.CreateIndex(ccSourceIndex, op.splitT, false); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 func (op *splitOp) Sources() []string { return []string{op.spec.Source} }
 func (op *splitOp) Targets() []string { return []string{op.spec.Left, op.spec.Right} }
 

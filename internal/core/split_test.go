@@ -190,7 +190,7 @@ func TestRule8Insert(t *testing.T) {
 		t.Errorf("counter = %d, want 3", s[op.cntPos].AsInt())
 	}
 	// Idempotence: replaying the whole log must not double-count.
-	if _, _, err := tr.propagateRange(1, db.Log().End(), nil); err != nil {
+	if _, _, _, err := tr.propagateRange(1, db.Log().End(), nil); err != nil {
 		t.Fatal(err)
 	}
 	assertSplitConverged(t, op)

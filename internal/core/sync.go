@@ -71,7 +71,7 @@ func (tr *Transformation) finalPropagation() (wal.LSN, error) {
 	from := tr.cursor
 	tr.mu.Unlock()
 	end := tr.db.Log().End()
-	if _, _, err := tr.propagateRange(from, end, nil); err != nil {
+	if _, _, _, err := tr.propagateRange(from, end, nil); err != nil {
 		return 0, err
 	}
 	tr.mu.Lock()
@@ -120,7 +120,7 @@ func (tr *Transformation) acquireSourceLatches(ctx context.Context, latches []*l
 		from := tr.cursor
 		tr.mu.Unlock()
 		end := tr.db.Log().End()
-		if _, _, err := tr.propagateRange(from, end, nil); err != nil {
+		if _, _, _, err := tr.propagateRange(from, end, nil); err != nil {
 			return err
 		}
 		tr.mu.Lock()
@@ -173,8 +173,9 @@ func (tr *Transformation) syncNonBlocking(ctx context.Context, forceAbort bool) 
 			return err
 		}
 	}
-	// Past this record the targets are public: a crash is no longer
-	// resumable from the propagation marks (lifecycle.go).
+	// The targets are published before the switch record is appended, so a
+	// checkpoint that begins after it holds them as public tables and
+	// recovery may finish the switchover (lifecycle.go).
 	tr.logSwitch(end)
 	if err := tr.faultHit("sync.published"); err != nil {
 		for _, l := range latches {
@@ -300,7 +301,7 @@ func (tr *Transformation) drain(ctx context.Context, oldTxns []wal.ActiveTxn, fo
 		from := tr.cursor
 		tr.mu.Unlock()
 		end := tr.db.Log().End()
-		if _, _, err := tr.propagateRange(from, end, th); err != nil {
+		if _, _, _, err := tr.propagateRange(from, end, th); err != nil {
 			return err
 		}
 		tr.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"nbschema/internal/catalog"
 	"nbschema/internal/obs"
 	"nbschema/internal/storage"
 	"nbschema/internal/wal"
@@ -29,9 +30,11 @@ import (
 //     Every operation on t with LSN < mark[t] belongs to a transaction that
 //     ended before the capture, so its storage effect (including undo CLRs)
 //     landed before the fuzzy scan began and is in the snapshot.
-//  4. Write every table — full definition plus a fuzzy partition scan — to
-//     the snapshot stream. Writers keep running; the per-row LSNs let
-//     restart repair the mixed image by guarded redo.
+//  4. Write every table that is not hidden — full definition plus a fuzzy
+//     partition scan — to the snapshot stream. Writers keep running; the
+//     per-row LSNs let restart repair the mixed image by guarded redo. A
+//     hidden table is a transformation target that is not yet published:
+//     restart could only drop it again (core.Recover), so it is skipped.
 //  5. Append a checkpoint-end record carrying B, the captured
 //     active-transaction table and the marks; seal the snapshot footer with
 //     the end LSN E and a CRC.
@@ -83,19 +86,28 @@ func (db *DB) Checkpoint(w io.Writer) (CheckpointStats, error) {
 	// table and discard this and every later checkpoint in the stream). A
 	// handle resolved here keeps the heap alive even if the table is dropped
 	// mid-scan; its rows then simply travel with the snapshot, exactly as if
-	// the drop had happened just after the checkpoint ended.
-	tables := make([]*storage.Table, 0, len(names))
+	// the drop had happened just after the checkpoint ended. The state is
+	// read here too, under the catalog lock, since a switchover may change
+	// it while the snapshot is written.
+	type entry struct {
+		tbl   *storage.Table
+		state catalog.State
+	}
+	tables := make([]entry, 0, len(names))
 	for _, n := range names {
-		if tbl := db.Table(n); tbl != nil {
-			tables = append(tables, tbl)
+		tbl := db.Table(n)
+		state, _, err := db.cat.StateOf(n)
+		if tbl == nil || err != nil || state == catalog.StateHidden {
+			continue
 		}
+		tables = append(tables, entry{tbl, state})
 	}
 	sw, err := storage.BeginSnapshot(w, begin, len(tables))
 	if err != nil {
 		return st, fmt.Errorf("engine: checkpoint: %w", err)
 	}
-	for _, tbl := range tables {
-		if err := sw.WriteTable(tbl, 0); err != nil {
+	for _, e := range tables {
+		if err := sw.WriteTable(e.tbl, e.state, 0); err != nil {
 			return st, fmt.Errorf("engine: checkpoint: %w", err)
 		}
 	}

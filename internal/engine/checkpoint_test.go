@@ -480,3 +480,82 @@ func TestCheckpointFaultMidSnapshotWrite(t *testing.T) {
 	}
 	sameTable(t, db, db2, "acct")
 }
+
+// TestCheckpointRacesSwitchoverSafely takes checkpoints while another
+// goroutine flips a table's lifecycle state, as a switchover does while an
+// automatic checkpoint runs. The snapshot must read the state under the
+// catalog lock; run under -race, an unlocked read of the definition reports
+// a data race here.
+func TestCheckpointRacesSwitchoverSafely(t *testing.T) {
+	db := newTestDB(t)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.MarkDropping("acct", db.Log().End()); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := db.Reopen("acct"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if _, err := db.Checkpoint(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+}
+
+// TestCheckpointSkipsHiddenTables: a hidden table is an unpublished
+// transformation target, which a restart could only drop again, so the
+// snapshot leaves it out and restart does not restore it.
+func TestCheckpointSkipsHiddenTables(t *testing.T) {
+	db := newTestDB(t)
+	hidden, err := catalog.NewTableDef("target", []catalog.Column{
+		{Name: "id", Type: value.KindInt},
+	}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden.State = catalog.StateHidden
+	if err := db.CreateTable(hidden); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Table("target").Insert(value.Tuple{value.Int(1)}, 0); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if err := tx.Insert("acct", acct(1, "ann", 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	st, err := db.Checkpoint(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Tables != 1 {
+		t.Errorf("checkpoint wrote %d tables, want 1 (acct only)", st.Tables)
+	}
+	db2 := restartFromCheckpoint(t, db, snap.Bytes(), acctDef(t))
+	if db2.RestoredCheckpoint() == nil {
+		t.Fatal("checkpoint not restored")
+	}
+	if db2.Table("target") != nil {
+		t.Error("hidden table restored from the checkpoint")
+	}
+	sameTable(t, db, db2, "acct")
+}

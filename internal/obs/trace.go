@@ -42,9 +42,6 @@ const (
 	EventDone
 	// EventAbort marks an abandoned transformation; Err carries the cause.
 	EventAbort
-	// EventResume marks a transformation re-attached by crash recovery; LSN
-	// carries the propagation cursor it resumed from.
-	EventResume
 	// EventFreshness reports the freshness watermarks as the transformation
 	// enters synchronization: LSN carries the applied-LSN high-water mark,
 	// Duration the current lag (age of the oldest unapplied timestamped
@@ -77,8 +74,6 @@ func (k EventKind) String() string {
 		return "done"
 	case EventAbort:
 		return "abort"
-	case EventResume:
-		return "resume"
 	case EventFreshness:
 		return "freshness"
 	default:

@@ -94,20 +94,22 @@ func (s *SnapshotWriter) str(v string) {
 // Bytes returns the number of bytes written so far.
 func (s *SnapshotWriter) Bytes() int64 { return s.n }
 
-// WriteTable serializes one table: its full definition, then every heap
-// partition via a fuzzy scan (writers are never stopped). The fault points
+// WriteTable serializes one table: its full definition with lifecycle state
+// state, then every heap partition via a fuzzy scan (writers are never
+// stopped). The caller reads state from the catalog under its lock: the
+// definition's own State field is written there concurrently. The fault points
 // "storage.snapshot.partition" and "storage.snapshot.partition.<table>" are
 // hit before each partition; an injected error aborts the snapshot
 // (leaving it torn — without a footer — which readers discard), and a crash
 // action simulates process death mid-snapshot.
-func (s *SnapshotWriter) WriteTable(t *Table, chunk int) error {
+func (s *SnapshotWriter) WriteTable(t *Table, state catalog.State, chunk int) error {
 	if s.err != nil {
 		return s.err
 	}
 	def := t.def
 	s.buf = append(s.buf[:0], snapTagTable)
 	s.str(def.Name)
-	s.buf = append(s.buf, byte(def.State))
+	s.buf = append(s.buf, byte(state))
 	s.buf = binary.AppendUvarint(s.buf, uint64(len(def.Columns)))
 	for _, c := range def.Columns {
 		s.str(c.Name)

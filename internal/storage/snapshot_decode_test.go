@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"nbschema/internal/catalog"
 	"nbschema/internal/value"
 	"nbschema/internal/wal"
 )
@@ -24,7 +25,7 @@ func snapBytes(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.WriteTable(tbl, 4); err != nil {
+	if err := sw.WriteTable(tbl, catalog.StatePublic, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(9); err != nil {

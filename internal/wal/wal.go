@@ -76,17 +76,15 @@ const (
 	// (Meta names the phase). The populated record's Mark is the propagation
 	// start LSN the initial population left off at.
 	TypeTransformPhase
-	// TypeTransformProgress is the transformation's propagation low-water
-	// mark: every source log record with LSN < Mark has been applied to the
-	// targets. Recovery resumes propagation from the newest safe Mark.
-	TypeTransformProgress
+	// Code 14 is retired (it held per-iteration propagation progress
+	// marks); it stays reserved so older logs decode with the codes below.
+	_
 	// TypeTransformSwitch is written at switchover: Mark is the
-	// synchronization point LSN. A transformation past this record cannot be
-	// resumed mid-propagation and recovery falls back to drop-and-rerun.
+	// synchronization point LSN.
 	TypeTransformSwitch
-	// TypeTransformDone is written when a transformation completes, targets
-	// published. Recovery treats a matching start/done pair as finished work
-	// and leaves the published tables alone.
+	// TypeTransformDone is written when a transformation finishes, committed
+	// or aborted. Recovery treats a committed start/done pair as finished
+	// work and leaves the published tables alone.
 	TypeTransformDone
 )
 
@@ -121,8 +119,6 @@ func (t Type) String() string {
 		return "transform-start"
 	case TypeTransformPhase:
 		return "transform-phase"
-	case TypeTransformProgress:
-		return "transform-progress"
 	case TypeTransformSwitch:
 		return "transform-switch"
 	case TypeTransformDone:

@@ -97,45 +97,18 @@ func Restart(r io.Reader, tables []TableSpec, opts ...Options) (*DB, *WALCorrupt
 
 // Recover cleans up a schema transformation interrupted by a crash: target
 // tables named here (or left in the hidden state) are dropped — they were
-// populated outside the log, so after a restart they are empty shells — and
-// sources caught mid-switchover are reopened for public use. The
-// transformation can then simply be run again (§6 of the paper).
+// populated outside the log and checkpoints do not write hidden tables, so
+// after a restart they are absent or empty shells — and sources caught
+// mid-switchover are reopened for public use. The transformation can then
+// simply be run again (§6 of the paper). A transformation whose switchover a
+// restored checkpoint already holds is finished instead: its doomed sources
+// are dropped.
 //
 // Recover is idempotent: targets of a transformation whose completion
 // survived (the engine is live, or a checkpoint taken after completion was
 // restored) are left alone even when named here.
 func (db *DB) Recover(ctx context.Context, targets ...string) (RecoverReport, error) {
 	return core.Recover(ctx, db.eng, core.RecoverConfig{Targets: targets})
-}
-
-// RecoverOptions configures RecoverWith.
-type RecoverOptions struct {
-	// Targets names tables known to be transformation targets (see Recover).
-	Targets []string
-	// Resume re-attaches to a transformation that was mid-flight at the
-	// crash, provided the database was restarted from a checkpoint covering
-	// its initial population (RestartWithCheckpoint). Propagation restarts
-	// from the logged low-water mark — population work is never redone. When
-	// the preconditions fail, recovery silently falls back to dropping the
-	// targets (re-run the transformation from scratch).
-	Resume bool
-	// ResumeOptions tunes the resumed transformation; function-valued knobs
-	// (analyzer thresholds, trace sinks) cannot be reconstructed from the
-	// log, so they are supplied anew here.
-	ResumeOptions TransformOptions
-}
-
-// RecoverWith is Recover with resume support: see RecoverOptions.
-func (db *DB) RecoverWith(ctx context.Context, opts RecoverOptions) (RecoverReport, error) {
-	rep, err := core.Recover(ctx, db.eng, core.RecoverConfig{
-		Targets:      opts.Targets,
-		Resume:       opts.Resume,
-		ResumeConfig: opts.ResumeOptions.config(db),
-	})
-	if rep.Transformation != nil {
-		db.track(rep.Transformation)
-	}
-	return rep, err
 }
 
 // Checkpoint takes a fuzzy checkpoint now and writes its snapshot to w.
