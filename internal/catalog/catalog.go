@@ -253,21 +253,34 @@ func (c *Catalog) Rename(oldName, newName string) error {
 	return nil
 }
 
-// SetState updates the lifecycle state of a table together with its drop
-// gate: dropAt is the switchover LSN of StateDropping (the first begin LSN
-// denied access) and is ignored for the other states. Setting both in one
-// write means no reader can see the new state beside a stale gate.
-func (c *Catalog) SetState(name string, s State, dropAt wal.LSN) error {
+// StateChange is one table's new lifecycle state. DropAt is the switchover
+// LSN of StateDropping (the first begin LSN denied access); it is ignored for
+// the other states.
+type StateChange struct {
+	Name   string
+	State  State
+	DropAt wal.LSN
+}
+
+// SetState applies the changes in one write under the catalog lock: no
+// reader sees a table's new state beside a stale gate, nor one table of the
+// set switched without the others. If a table does not exist, nothing
+// changes.
+func (c *Catalog) SetState(changes ...StateChange) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.tables[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
+	for _, ch := range changes {
+		if _, ok := c.tables[ch.Name]; !ok {
+			return fmt.Errorf("%w: %s", ErrNotFound, ch.Name)
+		}
 	}
-	if s != StateDropping {
-		dropAt = 0
+	for _, ch := range changes {
+		d := c.tables[ch.Name]
+		d.State, d.dropAt = ch.State, 0
+		if ch.State == StateDropping {
+			d.dropAt = ch.DropAt
+		}
 	}
-	d.State, d.dropAt = s, dropAt
 	return nil
 }
 

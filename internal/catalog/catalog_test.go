@@ -191,7 +191,7 @@ func TestCatalogStateAndList(t *testing.T) {
 	if err := c.Create(sampleDef(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetState("customer", StateHidden, 0); err != nil {
+	if err := c.SetState(StateChange{"customer", StateHidden, 0}); err != nil {
 		t.Fatalf("SetState: %v", err)
 	}
 	d, _ := c.Get("customer")
@@ -199,19 +199,19 @@ func TestCatalogStateAndList(t *testing.T) {
 		t.Errorf("state = %v", d.State)
 	}
 	// The drop gate travels with the dropping state and is cleared with it.
-	if err := c.SetState("customer", StateDropping, 7); err != nil {
+	if err := c.SetState(StateChange{"customer", StateDropping, 7}); err != nil {
 		t.Fatal(err)
 	}
 	if s, at, err := c.StateOf("customer"); s != StateDropping || at != 7 || err != nil {
 		t.Errorf("StateOf = %v, %d, %v; want dropping, 7", s, at, err)
 	}
-	if err := c.SetState("customer", StatePublic, 7); err != nil {
+	if err := c.SetState(StateChange{"customer", StatePublic, 7}); err != nil {
 		t.Fatal(err)
 	}
 	if s, at, _ := c.StateOf("customer"); s != StatePublic || at != 0 {
 		t.Errorf("StateOf after reopen = %v, %d; want public, 0", s, at)
 	}
-	if err := c.SetState("ghost", StatePublic, 0); err == nil {
+	if err := c.SetState(StateChange{"ghost", StatePublic, 0}); err == nil {
 		t.Error("SetState on missing table should fail")
 	}
 	other, _ := NewTableDef("aaa", []Column{{Name: "a", Type: value.KindInt}}, []string{"a"})
@@ -228,5 +228,33 @@ func TestStateString(t *testing.T) {
 	if StatePublic.String() != "public" || StateHidden.String() != "hidden" ||
 		StateDropping.String() != "dropping" || State(9).String() != "state(9)" {
 		t.Error("State.String names wrong")
+	}
+}
+
+// TestSetStateAllOrNothing: one SetState call changes every named table or,
+// when one is missing, none of them.
+func TestSetStateAllOrNothing(t *testing.T) {
+	c := New()
+	if err := c.Create(sampleDef(t)); err != nil {
+		t.Fatal(err)
+	}
+	other, _ := NewTableDef("aaa", []Column{{Name: "a", Type: value.KindInt}}, []string{"a"})
+	if err := c.Create(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetState(StateChange{"customer", StateDropping, 5}, StateChange{"ghost", StatePublic, 0}); err == nil {
+		t.Fatal("SetState naming a missing table should fail")
+	}
+	if s, _, _ := c.StateOf("customer"); s != StatePublic {
+		t.Errorf("customer = %v after a failed SetState, want public", s)
+	}
+	if err := c.SetState(StateChange{"customer", StateDropping, 5}, StateChange{"aaa", StatePublic, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if s, at, _ := c.StateOf("customer"); s != StateDropping || at != 5 {
+		t.Errorf("customer = %v, %d; want dropping, 5", s, at)
+	}
+	if s, at, _ := c.StateOf("aaa"); s != StatePublic || at != 0 {
+		t.Errorf("aaa = %v, %d; want public, 0", s, at)
 	}
 }

@@ -179,16 +179,18 @@ func TestCompactFenceCutsRuns(t *testing.T) {
 
 // TestCompactDropsNoise: every record that is neither an operation, a
 // consistency-checker record nor an end of transaction is dropped, without
-// fencing — including the retired type code 14 an older log may carry.
+// fencing — including the retired type codes 13 and 14 an older log may
+// carry.
 func TestCompactDropsNoise(t *testing.T) {
 	recs := []*wal.Record{
 		&wal.Record{LSN: 1, Txn: 1, Type: wal.TypeBegin},
 		&wal.Record{LSN: 2, Type: wal.TypeFuzzyMark},
 		&wal.Record{LSN: 3, Txn: 1, Type: wal.TypeUpdate, Table: "dummy", Key: key(1), Cols: []int{1}, New: value.Tuple{value.Str("x")}},
-		&wal.Record{LSN: 4, Type: wal.Type(14), Mark: 3},
-		&wal.Record{LSN: 5, Type: wal.TypeCheckpointEnd, Mark: 2},
-		&wal.Record{LSN: 6, Type: wal.TypeTransformSwitch, Mark: 5},
-		end(7, 1),
+		&wal.Record{LSN: 4, Type: wal.Type(13), Mark: 3},
+		&wal.Record{LSN: 5, Type: wal.Type(14), Mark: 3},
+		&wal.Record{LSN: 6, Type: wal.TypeCheckpointEnd, Mark: 2},
+		&wal.Record{LSN: 7, Type: wal.TypeTransformSwitch, Mark: 5},
+		end(8, 1),
 	}
 	out, st := runCompact(t, recs)
 	if len(out) != 1 || out[0].Type != wal.TypeCommit || st.Fences != 0 {

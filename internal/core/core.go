@@ -372,10 +372,8 @@ type operator interface {
 	// CCStats returns consistency-checker rounds and repairs (0, 0 when
 	// not applicable).
 	CCStats() (rounds, repairs int64)
-	// Cleanup drops the target tables (transformation abort).
-	Cleanup() error
 	// describe returns the lifecycle metadata (kind + spec) serialized into
-	// transform-start records so crash recovery can rebuild the operator.
+	// transform-start records, from which crash recovery learns the tables.
 	describe() transformMeta
 }
 
@@ -398,6 +396,10 @@ type Transformation struct {
 	cancel       atomic.Bool
 	latchTargets atomic.Bool  // post-switchover: serialize rule application
 	applied      atomic.Int64 // records applied so far, live (Progress)
+
+	// Lifecycle (lifecycle.go), run goroutine only: the start record is
+	// logged, the sources were gated, the catalog has switched over.
+	started, gated, switched bool
 
 	// comp coalesces propagation intervals to their net effect; owned by
 	// the run goroutine (lazily created on first compacted range).
@@ -499,6 +501,9 @@ func newTransformation(db *engine.DB, cfg Config) *Transformation {
 // are documented on the constants below; a nil or disarmed registry costs
 // one nil check and one atomic load.
 func (tr *Transformation) faultHit(name string) error {
+	if tr.faults == nil {
+		return nil
+	}
 	return tr.faults.Hit("core." + name)
 }
 
@@ -527,10 +532,27 @@ func (tr *Transformation) setPriority(p float64) {
 	tr.priority.Store(float64bits(p))
 }
 
-// Abort requests cancellation: propagation stops and the target tables are
-// deleted ("Aborting the transformation simply means that log propagation is
-// stopped, and that the transformed tables are deleted.", §6).
+// Abort requests cancellation; cancelling Run's context does the same.
+// Before the switchover, propagation stops and the transformation rolls back
+// ("Aborting the transformation simply means that log propagation is
+// stopped, and that the transformed tables are deleted.", §6): the targets
+// are dropped, the sources reopened, and Run returns ErrAborted. The
+// switchover is the point of no return: past it the targets are live, so an
+// abort no longer rolls back. The old transactions still alive are doomed and
+// force-aborted instead, the drain completes, and Run returns nil with
+// PhaseDone.
 func (tr *Transformation) Abort() { tr.cancel.Store(true) }
+
+// aborted reports a requested Abort or a cancelled context as ErrAborted.
+func (tr *Transformation) aborted(ctx context.Context) error {
+	if tr.cancel.Load() {
+		return ErrAborted
+	}
+	if err := ctx.Err(); err != nil {
+		return errors.Join(ErrAborted, err)
+	}
+	return nil
+}
 
 // Metrics returns a copy of the metrics collected so far.
 func (tr *Transformation) Metrics() Metrics {
@@ -554,8 +576,10 @@ func (tr *Transformation) Remaining() int {
 	return int(end - cursor + 1)
 }
 
-// Run executes the transformation end to end. On error the target tables
-// are dropped and the database is left untouched.
+// Run executes the transformation end to end. An error before the
+// switchover rolls it back (abort, lifecycle.go): the database is left as it
+// was. An error past the switchover leaves the attempt switched over for
+// Recover to finish.
 func (tr *Transformation) Run(ctx context.Context) error {
 	start := time.Now()
 	tr.mu.Lock()
@@ -573,23 +597,25 @@ func (tr *Transformation) Run(ctx context.Context) error {
 		tr.mu.Unlock()
 	}()
 
-	if err := tr.run(ctx); err != nil {
-		tr.setPhase(PhaseAborted)
-		tr.db.ClearHooks()
-		tr.shadow.SetEnforce(false)
-		cerr := tr.op.Cleanup()
-		tr.logDone(true)
+	err := tr.run(ctx)
+	tr.db.ClearHooks()
+	tr.shadow.SetEnforce(false)
+	if err != nil && !tr.switched {
+		if aerr := tr.abort(); aerr != nil {
+			err = errors.Join(err, aerr)
+		}
 		tr.emit(obs.EventAbort, func(ev *obs.Event) {
 			ev.Err = err.Error()
 			ev.Duration = time.Since(start)
 		})
-		if cerr != nil {
-			return errors.Join(err, cerr)
-		}
 		return err
 	}
-	tr.logDone(false)
-	tr.setPhase(PhaseDone)
+	if err == nil {
+		err = tr.finish()
+	}
+	if err != nil {
+		return err
+	}
 	tr.emit(obs.EventDone, func(ev *obs.Event) {
 		ev.Duration = time.Since(start)
 		ev.Rules = tr.RuleApplications()
@@ -611,8 +637,8 @@ func (tr *Transformation) Run(ctx context.Context) error {
 //	core.propagate.batch       at each batch start while redoing log records
 //	core.sync.entry            synchronization, before latching the sources
 //	core.sync.latched          sources latched, final propagation done
-//	core.sync.published        targets published, switchover latches not yet
-//	                           released
+//	core.<transition>.before   before a lifecycle transition's record append
+//	core.<transition>.after    after it (lifecycle.go)
 func (tr *Transformation) run(ctx context.Context) error {
 	// Step 1: preparation.
 	tr.setPhase(PhasePreparing)
@@ -622,13 +648,12 @@ func (tr *Transformation) run(ctx context.Context) error {
 	if err := tr.op.Prepare(); err != nil {
 		return fmt.Errorf("core: prepare: %w", err)
 	}
-	if err := tr.logStart(); err != nil {
+	tr.installHooks()
+	if err := tr.start(); err != nil {
 		return err
 	}
-	tr.installHooks()
 
 	// Step 2: initial population.
-	tr.setPhase(PhasePopulating)
 	if err := tr.faultHit("phase.populating"); err != nil {
 		return err
 	}
@@ -638,9 +663,7 @@ func (tr *Transformation) run(ctx context.Context) error {
 	}
 	tr.mu.Lock()
 	tr.metrics.PopulationDuration = time.Since(popStart)
-	cursor := tr.cursor
 	tr.mu.Unlock()
-	tr.logPopulated(cursor)
 
 	// Step 3: log propagation.
 	tr.setPhase(PhasePropagating)
@@ -663,8 +686,6 @@ func (tr *Transformation) run(ctx context.Context) error {
 	if err := tr.synchronize(ctx); err != nil {
 		return fmt.Errorf("core: synchronize: %w", err)
 	}
-	tr.db.ClearHooks()
-	tr.shadow.SetEnforce(false)
 	return nil
 }
 
@@ -752,13 +773,7 @@ func (tr *Transformation) populate(ctx context.Context) error {
 	tr.mu.Lock()
 	tr.metrics.InitialImageRows = rows
 	tr.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return errors.Join(ErrAborted, err)
-	}
-	if tr.cancel.Load() {
-		return ErrAborted
-	}
-	return nil
+	return tr.aborted(ctx)
 }
 
 // scanPartition reads one source heap partition for initial population:

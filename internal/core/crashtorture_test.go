@@ -315,6 +315,11 @@ func runCrashTorture(t *testing.T, tc tortureCase, spec crashSpec) {
 	}
 
 	reg.Arm(spec.point, fault.OnHit(spec.hit), fault.CrashAction())
+	if spec.load && spec.point != "core.phase.propagating" {
+		// Give the workload time to log records before the first propagation
+		// cycle, so that cycle is busy and ends with a fuzzy mark.
+		reg.Arm("core.phase.propagating", fault.OnHit(1), fault.SleepAction(2*time.Millisecond))
+	}
 
 	// Process-simulation boundary: the transformation goroutine "is" the
 	// crashing process; the injected panic is caught here and nowhere else.
@@ -453,7 +458,7 @@ func fojCrashSpecs() []crashSpec {
 		{"sync-phase-entry", "core.phase.synchronizing", 1, true},
 		{"sync-entry", "core.sync.entry", 1, true},
 		{"sync-latched", "core.sync.latched", 1, false},
-		{"sync-published", "core.sync.published", 1, false},
+		{"sync-published", "core.switch.after", 1, false},
 	}
 }
 
@@ -467,7 +472,7 @@ func splitCrashSpecs() []crashSpec {
 		{"sync-phase-entry", "core.phase.synchronizing", 1, true},
 		{"sync-entry", "core.sync.entry", 1, true},
 		{"sync-latched", "core.sync.latched", 1, false},
-		{"sync-published", "core.sync.published", 1, false},
+		{"sync-published", "core.switch.after", 1, false},
 	}
 }
 
@@ -558,7 +563,7 @@ func TestRecoverReopensDroppingSource(t *testing.T) {
 	if err := db.CreateTable(hidden); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.MarkDropping("R", db.Log().End()); err != nil {
+	if err := db.Catalog().SetState(catalog.StateChange{Name: "R", State: catalog.StateDropping, DropAt: db.Log().End()}); err != nil {
 		t.Fatal(err)
 	}
 

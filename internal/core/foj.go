@@ -226,13 +226,6 @@ func (op *fojOp) describe() transformMeta {
 func (op *fojOp) Sources() []string { return []string{op.spec.Left, op.spec.Right} }
 func (op *fojOp) Targets() []string { return []string{op.spec.Target} }
 
-func (op *fojOp) Cleanup() error {
-	if op.db.Table(op.spec.Target) == nil {
-		return nil
-	}
-	return op.db.DropTable(op.spec.Target)
-}
-
 // MaintenanceTick is a no-op for FOJ (no consistency checker needed).
 func (op *fojOp) MaintenanceTick() error { return nil }
 

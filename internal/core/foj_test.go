@@ -113,16 +113,9 @@ func prepared(t *testing.T, db *engine.DB, cfg Config) (*Transformation, *fojOp)
 // propagateAll redoes the whole outstanding log tail.
 func propagateAll(t *testing.T, tr *Transformation) {
 	t.Helper()
-	tr.mu.Lock()
-	from := tr.cursor
-	tr.mu.Unlock()
-	end := tr.db.Log().End()
-	if _, _, _, err := tr.propagateRange(from, end, nil); err != nil {
+	if _, err := tr.catchUp(nil); err != nil {
 		t.Fatalf("propagate: %v", err)
 	}
-	tr.mu.Lock()
-	tr.cursor = end + 1
-	tr.mu.Unlock()
 }
 
 // expectedFOJ recomputes FOJ(R, S) from current storage, including the
@@ -172,7 +165,12 @@ func visible(op *fojOp, t value.Tuple) value.Tuple { return value.Tuple(t[:op.ls
 // assertConverged checks T == FOJ(R, S) exactly.
 func assertConverged(t *testing.T, op *fojOp) {
 	t.Helper()
-	want := expectedFOJ(t, op)
+	assertImage(t, op, expectedFOJ(t, op))
+}
+
+// assertImage checks T against an expected image keyed like T's storage.
+func assertImage(t *testing.T, op *fojOp, want map[string]value.Tuple) {
+	t.Helper()
 	got := op.tTbl.Rows()
 	if len(got) != len(want) {
 		t.Errorf("T has %d rows, want %d", len(got), len(want))

@@ -72,7 +72,7 @@ func (tr *Transformation) propagateParallel(recs []*wal.Record, ck conflictKeyer
 		applied += n
 		tr.applied.Add(int64(n))
 		th.tick(n)
-		if tr.cancel.Load() {
+		if th.cancelled() {
 			return ErrAborted
 		}
 		if err := th.checkDeadline(); err != nil {
@@ -115,7 +115,7 @@ func (tr *Transformation) propagateParallel(recs []*wal.Record, ck conflictKeyer
 			applied++
 			tr.applied.Add(1)
 			th.tick(1)
-			if tr.cancel.Load() {
+			if th.cancelled() {
 				return applied, ErrAborted
 			}
 			continue

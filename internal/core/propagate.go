@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"nbschema/internal/lock"
@@ -20,11 +19,16 @@ type throttler struct {
 	workDone time.Duration
 	pending  int
 	deadline time.Time // in-iteration stall deadline (zero = none)
+	drain    bool      // past the switch: an Abort no longer stops propagation
 }
 
 func newThrottler(tr *Transformation) *throttler {
 	return &throttler{tr: tr, sliceAt: time.Now()}
 }
+
+// cancelled reports an Abort the propagation must stop for. The drain's
+// never does: past the switch an abort is finished, not rolled back.
+func (th *throttler) cancelled() bool { return !th.drain && th.tr.cancel.Load() }
 
 // armDeadline sets the in-iteration stall deadline from the config.
 func (th *throttler) armDeadline() {
@@ -106,11 +110,8 @@ func (tr *Transformation) propagateLoop(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if tr.cancel.Load() {
-			return ErrAborted
-		}
-		if err := ctx.Err(); err != nil {
-			return errors.Join(ErrAborted, err)
+		if err := tr.aborted(ctx); err != nil {
+			return err
 		}
 
 		// Idle cycle: nothing was propagated and nothing new arrived. Ask
@@ -330,7 +331,7 @@ func (tr *Transformation) propagateRange(from, to wal.LSN, th *throttler) (appli
 		tr.applied.Add(1)
 		if th != nil {
 			th.tick(1)
-			if tr.cancel.Load() {
+			if th.cancelled() {
 				return applied, scanned, busy, ErrAborted
 			}
 			if err := th.checkDeadline(); err != nil {

@@ -51,26 +51,26 @@ type RecoverReport struct {
 // that log propagation is stopped, and the transformed tables are deleted".
 // Target tables are populated outside the log and a checkpoint does not
 // write hidden tables, so after a restart an unfinished attempt's targets
-// are absent or empty shells. Using the lifecycle records in the log
-// (lifecycle.go), Recover picks one of three outcomes:
+// are absent or empty shells. Recover folds the lifecycle records
+// (lifecycle.go) into the latest attempt's last state and, by whether the
+// storage covers that state, picks one of three outcomes:
 //
 //   - Leave a covered, completed attempt alone. Its transform-done record is
 //     covered — the engine was never restarted (Recover called again on a
 //     live engine), or the restored checkpoint began after the done record
 //     — so its published targets are complete. They are left alone even
 //     when listed in Targets, which makes Recover idempotent.
-//   - Finish a covered switchover. The attempt switched over before the
-//     restored checkpoint began but never logged done: the restored targets
-//     are public and complete, so recovery drops the doomed sources instead
-//     of reopening them against a live copy.
-//   - Otherwise drop the targets and reopen the sources caught
-//     mid-switchover, then, with cfg.Rerun, run the transformation again
-//     from scratch.
+//   - Finish a covered switch. The attempt switched over before the restored
+//     checkpoint began but never logged done: the restored targets are
+//     public and complete, so recovery runs the attempt's finish.
+//   - Otherwise roll back with the attempt's abort: drop the targets (listed,
+//     hidden, or named by the open attempt's spec) and reopen the sources
+//     caught mid-switchover. The done(aborted) record closes the attempt, so
+//     a second Recover finds nothing to do. Then, with cfg.Rerun, run the
+//     transformation again from scratch.
 func Recover(ctx context.Context, db *engine.DB, cfg RecoverConfig) (RecoverReport, error) {
 	var rep RecoverReport
-
-	rc := db.RestoredCheckpoint()
-	st := scanTransformLog(db.Log())
+	a := foldLifecycle(db.Log())
 
 	// covered reports whether the effects preceding the record at lsn are
 	// durably present in this database's storage: the engine was never
@@ -82,81 +82,64 @@ func Recover(ctx context.Context, db *engine.DB, cfg RecoverConfig) (RecoverRepo
 		if !db.Restarted() || lsn > db.RestartLSN() {
 			return true
 		}
+		rc := db.RestoredCheckpoint()
 		return rc != nil && rc.Begin > lsn
 	}
 
-	// Tables recovery must not touch, keyed by name.
-	protect := make(map[string]bool)
-
-	finishSwitch := false
+	keep := make(map[string]bool) // tables recovery must not touch
+	drop := make(map[string]bool) // listed targets and an open attempt's
+	for _, t := range cfg.Targets {
+		drop[t] = true
+	}
 	switch {
-	case st.done != nil && !st.doneMeta.Aborted && covered(st.done.LSN):
+	case a.done != nil && !a.doneMeta.Aborted && covered(a.done.LSN):
 		// Completed attempt whose results survived; leave its targets alone,
 		// and its retired sources too — with KeepSources they stay in the
 		// dropping state by design, not because a switchover was cut short.
-		for _, t := range st.doneMeta.Targets {
-			protect[t] = true
+		for _, t := range append(a.doneMeta.Targets, a.doneMeta.Sources...) {
+			keep[t] = true
 		}
-		for _, s := range st.doneMeta.Sources {
-			protect[s] = true
-		}
-	case st.start != nil && st.done == nil && st.switched != nil && covered(st.switched.LSN):
-		// Crashed between switchover and done with the switchover restored
-		// complete: keep the public targets, finish dropping the sources.
-		// A spec that cannot be decoded or rebuilt here is a hard error:
-		// proceeding would drop the completed public targets and reopen the
-		// doomed sources while still reporting the switchover as finished.
-		finishSwitch = true
-		meta, err := decodeTransformMeta(st.start)
+	case a.open() && a.switched != nil && covered(a.switched.LSN):
+		// A spec that cannot be decoded here is a hard error: rolling back
+		// would drop the completed public targets and reopen the doomed
+		// sources while the switchover is durable.
+		meta, targets, sources, err := a.tables()
 		if err != nil {
 			return rep, fmt.Errorf("core: recover: finish switchover: %w", err)
 		}
-		tr, err := rebuildTransformation(db, meta)
-		if err != nil {
+		if err := finishAttempt(db, targets, sources, meta.KeepSources); err != nil {
 			return rep, fmt.Errorf("core: recover: finish switchover: %w", err)
 		}
-		for _, t := range tr.op.Targets() {
-			protect[t] = true
+		for _, t := range append(targets, sources...) {
+			keep[t] = true
 		}
-		for _, s := range tr.op.Sources() {
-			if stt, _, err := db.Catalog().StateOf(s); err == nil && stt == catalog.StateDropping {
-				if err := db.DropTable(s); err != nil {
-					return rep, fmt.Errorf("core: recover: drop source %s: %w", s, err)
-				}
-			}
+		rep.FinishedSwitchover = true
+	case a.open():
+		_, targets, _, _ := a.tables() // best effort: listed and hidden targets go anyway
+		for _, t := range targets {
+			drop[t] = true
 		}
-	}
-
-	listed := make(map[string]bool, len(cfg.Targets))
-	for _, t := range cfg.Targets {
-		listed[t] = true
 	}
 
 	for _, name := range db.Catalog().List() {
 		state, _, err := db.Catalog().StateOf(name)
-		if err != nil {
-			continue // dropped concurrently
-		}
 		switch {
-		case protect[name]:
-			// Restored transformation state; not an orphan.
-		case listed[name] || state == catalog.StateHidden:
-			if err := db.DropTable(name); err != nil {
-				return rep, fmt.Errorf("core: recover: drop target %s: %w", name, err)
-			}
+		case err != nil || keep[name]:
+			// Dropped concurrently, or restored transformation state.
+		case drop[name] || state == catalog.StateHidden:
 			rep.DroppedTargets = append(rep.DroppedTargets, name)
 		case state == catalog.StateDropping:
-			if err := db.Reopen(name); err != nil {
-				return rep, fmt.Errorf("core: recover: reopen source %s: %w", name, err)
-			}
 			rep.ReopenedSources = append(rep.ReopenedSources, name)
 		}
 	}
-	rep.FinishedSwitchover = finishSwitch
+	open := a.open() && !rep.FinishedSwitchover
+	if err := abortAttempt(db, rep.DroppedTargets, rep.ReopenedSources, open); err != nil {
+		return rep, fmt.Errorf("core: recover: %w", err)
+	}
 	rep.Orphaned = len(rep.DroppedTargets) > 0 || len(rep.ReopenedSources) > 0 ||
-		finishSwitch || (st.start != nil && st.done == nil)
+		rep.FinishedSwitchover || open
 
-	if rep.Orphaned && !finishSwitch && cfg.Rerun != nil {
+	if rep.Orphaned && !rep.FinishedSwitchover && cfg.Rerun != nil {
 		tr, err := cfg.Rerun(db)
 		if err != nil {
 			return rep, fmt.Errorf("core: recover: rebuild transformation: %w", err)

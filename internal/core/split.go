@@ -205,18 +205,6 @@ func (op *splitOp) describe() transformMeta {
 func (op *splitOp) Sources() []string { return []string{op.spec.Source} }
 func (op *splitOp) Targets() []string { return []string{op.spec.Left, op.spec.Right} }
 
-func (op *splitOp) Cleanup() error {
-	for _, t := range op.Targets() {
-		if op.db.Table(t) == nil {
-			continue
-		}
-		if err := op.db.DropTable(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ---- projections ----
 
 func (op *splitOp) rPart(t value.Tuple) value.Tuple { return t.Project(op.rFromT) }

@@ -116,7 +116,7 @@ func TestShadowLocksBlockDirectAccessDuringDrain(t *testing.T) {
 	}
 	propagateAll(t, tr)
 	tr.shadow.SetEnforce(true)
-	if err := db.Publish("T"); err != nil {
+	if err := db.Catalog().SetState(catalog.StateChange{Name: "T", State: catalog.StatePublic}); err != nil {
 		t.Fatal(err)
 	}
 	db.SetHooks(engine.Hooks{CheckLock: func(txn wal.TxnID, table string, key value.Tuple, mode lock.Mode) error {

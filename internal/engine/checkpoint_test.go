@@ -498,11 +498,11 @@ func TestCheckpointRacesSwitchoverSafely(t *testing.T) {
 				return
 			default:
 			}
-			if err := db.MarkDropping("acct", db.Log().End()); err != nil {
+			if err := db.Catalog().SetState(catalog.StateChange{Name: "acct", State: catalog.StateDropping, DropAt: db.Log().End()}); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := db.Reopen("acct"); err != nil {
+			if err := db.Catalog().SetState(catalog.StateChange{Name: "acct", State: catalog.StatePublic}); err != nil {
 				t.Error(err)
 				return
 			}

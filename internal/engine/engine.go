@@ -400,30 +400,9 @@ func (db *DB) Latch(name string) *lock.Latch {
 	return db.latches[name]
 }
 
-// MarkDropping switches a table to the dropping state, recording the
-// switchover LSN in the same catalog write: transactions begun at or after it
-// are denied access, while older transactions may finish (non-blocking
-// commit) or roll back (non-blocking abort).
-func (db *DB) MarkDropping(name string, at wal.LSN) error {
-	return db.cat.SetState(name, catalog.StateDropping, at)
-}
-
-// Publish makes a hidden target table user-visible.
-func (db *DB) Publish(name string) error {
-	return db.cat.SetState(name, catalog.StatePublic, 0)
-}
-
-// Reopen returns a table to public use and clears any switchover gate. Crash
-// recovery uses it to revert a source table left in the dropping state by a
-// transformation that did not finish.
-func (db *DB) Reopen(name string) error {
-	return db.cat.SetState(name, catalog.StatePublic, 0)
-}
-
 // accessibleAt reports whether a transaction that began at beginLSN may
 // operate on the table right now. State and drop gate are read in one
-// catalog call: a synchronization step may flip them concurrently
-// (Publish/MarkDropping).
+// catalog call: a transformation's switchover may flip them concurrently.
 func (db *DB) accessibleAt(def *catalog.TableDef, beginLSN wal.LSN) error {
 	state, at, err := db.cat.StateOf(def.Name)
 	if err != nil {

@@ -394,7 +394,7 @@ func TestTableStates(t *testing.T) {
 		t.Errorf("hidden table err = %v", err)
 	}
 	// Publish makes it accessible.
-	if err := db.Publish("target"); err != nil {
+	if err := db.Catalog().SetState(catalog.StateChange{Name: "target", State: catalog.StatePublic}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Insert("target", value.Tuple{value.Int(1)}); err != nil {
@@ -411,7 +411,7 @@ func TestDroppingStateOldVsNewTxns(t *testing.T) {
 	if err := oldTxn.Insert("acct", acct(1, "a", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.MarkDropping("acct", db.Log().End()); err != nil {
+	if err := db.Catalog().SetState(catalog.StateChange{Name: "acct", State: catalog.StateDropping, DropAt: db.Log().End()}); err != nil {
 		t.Fatal(err)
 	}
 	// The old transaction (begun before the switchover) may continue.

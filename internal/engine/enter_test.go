@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nbschema/internal/catalog"
 	"nbschema/internal/value"
 	"nbschema/internal/wal"
 )
@@ -86,7 +87,7 @@ func TestEntryChecksAccessUnderLatch(t *testing.T) {
 				if old {
 					gate = db.Log().End() + 1
 				}
-				if err := db.MarkDropping("acct", gate); err != nil {
+				if err := db.Catalog().SetState(catalog.StateChange{Name: "acct", State: catalog.StateDropping, DropAt: gate}); err != nil {
 					t.Fatal(err)
 				}
 				latch.ReleaseExclusive()
@@ -147,10 +148,10 @@ func TestDropGateIsOneWrite(t *testing.T) {
 		}
 	}()
 	for i := 0; i < cycles; i++ {
-		if err := db.MarkDropping("acct", 1000); err != nil {
+		if err := db.Catalog().SetState(catalog.StateChange{Name: "acct", State: catalog.StateDropping, DropAt: 1000}); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Reopen("acct"); err != nil {
+		if err := db.Catalog().SetState(catalog.StateChange{Name: "acct", State: catalog.StatePublic}); err != nil {
 			t.Fatal(err)
 		}
 	}

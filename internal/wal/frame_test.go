@@ -162,21 +162,24 @@ func TestCorruptFaultPointFlipsPayload(t *testing.T) {
 }
 
 // TestTypeCodesStable pins the on-disk type codes of the lifecycle records
-// and checks that a frame carrying the retired code 14 still decodes: logs
-// written before that code was retired must replay unchanged.
+// and checks that frames carrying the retired codes 13 and 14 still decode:
+// logs written before those codes were retired must replay unchanged.
 func TestTypeCodesStable(t *testing.T) {
-	if TypeTransformSwitch != 15 || TypeTransformDone != 16 {
-		t.Fatalf("switch = %d, done = %d; want 15, 16", TypeTransformSwitch, TypeTransformDone)
+	if TypeTransformStart != 12 || TypeTransformSwitch != 15 || TypeTransformDone != 16 {
+		t.Fatalf("start = %d, switch = %d, done = %d; want 12, 15, 16",
+			TypeTransformStart, TypeTransformSwitch, TypeTransformDone)
 	}
 	var buf bytes.Buffer
-	buf.Write(Marshal(&Record{LSN: 1, Type: Type(14), Mark: 7}))
-	buf.Write(Marshal(&Record{LSN: 2, Type: TypeTransformSwitch, Mark: 1}))
+	buf.Write(Marshal(&Record{LSN: 1, Type: Type(13), Mark: 5}))
+	buf.Write(Marshal(&Record{LSN: 2, Type: Type(14), Mark: 7}))
+	buf.Write(Marshal(&Record{LSN: 3, Type: TypeTransformSwitch, Mark: 1}))
 	log, err := ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := log.Scan(1, 0)
-	if len(recs) != 2 || recs[0].Type != 14 || recs[0].Mark != 7 || recs[1].Type != TypeTransformSwitch {
+	if len(recs) != 3 || recs[0].Type != 13 || recs[0].Mark != 5 ||
+		recs[1].Type != 14 || recs[1].Mark != 7 || recs[2].Type != TypeTransformSwitch {
 		t.Fatalf("decoded %+v", recs)
 	}
 }

@@ -72,12 +72,10 @@ const (
 	// Meta carries the transformation spec (JSON) so recovery can rebuild
 	// the operator without out-of-band state.
 	TypeTransformStart
-	// TypeTransformPhase is written at transformation phase boundaries
-	// (Meta names the phase). The populated record's Mark is the propagation
-	// start LSN the initial population left off at.
-	TypeTransformPhase
-	// Code 14 is retired (it held per-iteration propagation progress
-	// marks); it stays reserved so older logs decode with the codes below.
+	// Codes 13 and 14 are retired (they held the population-complete mark
+	// and per-iteration propagation progress marks); they stay reserved so
+	// older logs decode with the codes below.
+	_
 	_
 	// TypeTransformSwitch is written at switchover: Mark is the
 	// synchronization point LSN.
@@ -117,8 +115,6 @@ func (t Type) String() string {
 		return "checkpoint-end"
 	case TypeTransformStart:
 		return "transform-start"
-	case TypeTransformPhase:
-		return "transform-phase"
 	case TypeTransformSwitch:
 		return "transform-switch"
 	case TypeTransformDone:

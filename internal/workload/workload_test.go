@@ -178,7 +178,7 @@ func TestCalibrateReturnsSomething(t *testing.T) {
 func TestFallbackSwitch(t *testing.T) {
 	db := benchDB(t, []string{"old", "new"}, 100)
 	// Close "old" to everyone: clients must switch to "new".
-	if err := db.MarkDropping("old", 0); err != nil {
+	if err := db.Catalog().SetState(catalog.StateChange{Name: "old", State: catalog.StateDropping}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{

@@ -141,6 +141,17 @@ func TestTransformObservabilityThroughPublicAPI(t *testing.T) {
 			mu.Lock()
 			streamed = append(streamed, ev)
 			mu.Unlock()
+			if ev.KindName == "phase" && ev.Phase == "propagating" {
+				// One commit after population gives propagation an
+				// iteration to count.
+				tx := db.Begin()
+				if err := tx.Insert("customer", 500, "n", 1000, "c"); err != nil {
+					t.Error(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+				}
+			}
 		}),
 	})
 	if err != nil {

@@ -102,11 +102,12 @@ func Restart(r io.Reader, tables []TableSpec, opts ...Options) (*DB, *WALCorrupt
 // mid-switchover are reopened for public use. The transformation can then
 // simply be run again (§6 of the paper). A transformation whose switchover a
 // restored checkpoint already holds is finished instead: its doomed sources
-// are dropped.
+// are dropped unless it kept them.
 //
 // Recover is idempotent: targets of a transformation whose completion
 // survived (the engine is live, or a checkpoint taken after completion was
-// restored) are left alone even when named here.
+// restored) are left alone even when named here, and an attempt it has
+// rolled back is closed in the log, so a second call finds nothing to do.
 func (db *DB) Recover(ctx context.Context, targets ...string) (RecoverReport, error) {
 	return core.Recover(ctx, db.eng, core.RecoverConfig{Targets: targets})
 }

@@ -98,8 +98,9 @@ var (
 	// ErrStalled reports that log propagation could not keep up and the
 	// transformation was configured to give up.
 	ErrStalled = core.ErrStalled
-	// ErrTransformAborted reports that the transformation was cancelled;
-	// its target tables were deleted.
+	// ErrTransformAborted reports that the transformation was cancelled
+	// before its switchover: its target tables were deleted and its sources
+	// reopened.
 	ErrTransformAborted = core.ErrAborted
 	// ErrInconsistentData reports a split whose source violates the
 	// functional dependency on the split attributes (paper Example 1).
